@@ -60,8 +60,10 @@ class ConverterCache:
 
     ``use_fused`` is the tri-state codegen switch for the evolved-record
     path: ``None`` (default) fuses decode+project in generated mode and
-    falls back to compose-then-project if fusion fails; ``True`` forces
-    fusion (errors propagate); ``False`` keeps the two-step path.
+    falls back to compose-then-project if fusion fails, counting each
+    fallback as ``pbio_codegen_total{kind="fused",event="fallback"}``;
+    ``True`` forces fusion (errors propagate); ``False`` keeps the
+    two-step path.
     """
 
     def __init__(
@@ -119,12 +121,7 @@ class ConverterCache:
         converter = self._converters.get(key)
         if converter is not None:
             return converter
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter(
-                "pbio_codegen_total", "converter/encoder cache events",
-                ("kind", "event"),
-            ).labels("converter", "miss").inc()
+        _count_codegen("converter", "miss")
         converter = self._build(wire_format, target_format, mode)
         self._converters.put(key, converter)
         self.builds += 1
@@ -145,6 +142,7 @@ class ConverterCache:
                     if self.use_fused:
                         raise
                     # fall through to the two-step composed path
+                    _count_codegen("fused", "fallback")
             base = make_generated_converter(wire_format)
         else:
             base = make_interpreted_converter(wire_format)
@@ -156,6 +154,15 @@ class ConverterCache:
             return project(base(payload))
 
         return convert_and_project
+
+
+def _count_codegen(kind: str, event: str) -> None:
+    registry = get_registry()
+    if registry.enabled:
+        registry.counter(
+            "pbio_codegen_total", "converter/encoder cache events",
+            ("kind", "event"),
+        ).labels(kind, event).inc()
 
 
 def decode_payload(

@@ -4,9 +4,17 @@ Only the classification the parser actually needs is implemented: name
 start characters, name characters, whitespace, and the set of characters
 legal in XML content.  The Unicode ranges follow the Fifth Edition
 productions [4], [4a] and [2].
+
+The parser scans with patterns compiled from the range tables below
+(:data:`NAME`, :data:`SPACE`, :data:`ILLEGAL_CHAR`).  The per-character
+predicates are the reference the tests hold those patterns to;
+``is_xml_char`` restates production [2] independently of its table and
+also vets field text in the text-XML wire codec.
 """
 
 from __future__ import annotations
+
+import re
 
 #: XML whitespace (production [3] S).
 WHITESPACE = " \t\r\n"
@@ -39,6 +47,32 @@ _NAME_EXTRA_RANGES = (
     (0x203F, 0x2040),
 )
 
+_XML_CHAR_RANGES = (
+    (0x9, 0xA),
+    (0xD, 0xD),
+    (0x20, 0xD7FF),
+    (0xE000, 0xFFFD),
+    (0x10000, 0x10FFFF),
+)
+
+
+def _class_body(ranges: tuple[tuple[int, int], ...]) -> str:
+    """The inside of a regex character class matching ``ranges``."""
+    return "".join(f"\\U{low:08x}-\\U{high:08x}" for low, high in ranges)
+
+
+#: One XML Name (productions [4]-[5]); ``match`` it at a position.
+NAME = re.compile(
+    f"[{_class_body(_NAME_START_RANGES)}]"
+    f"[{_class_body(_NAME_START_RANGES + _NAME_EXTRA_RANGES)}]*"
+)
+
+#: A possibly empty run of whitespace; ``match`` always succeeds.
+SPACE = re.compile(f"[{re.escape(WHITESPACE)}]*")
+
+#: Any character outside production [2]; ``search`` finds the first.
+ILLEGAL_CHAR = re.compile(f"[^{_class_body(_XML_CHAR_RANGES)}]")
+
 
 def _in_ranges(code: int, ranges: tuple[tuple[int, int], ...]) -> bool:
     return any(low <= code <= high for low, high in ranges)
@@ -64,12 +98,3 @@ def is_xml_char(ch: str) -> bool:
         or 0xE000 <= code <= 0xFFFD
         or 0x10000 <= code <= 0x10FFFF
     )
-
-
-def is_valid_name(name: str) -> bool:
-    """True if ``name`` is a legal XML Name."""
-    if not name:
-        return False
-    if not is_name_start(name[0]):
-        return False
-    return all(is_name_char(ch) for ch in name[1:])

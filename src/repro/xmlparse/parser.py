@@ -3,7 +3,7 @@
 :class:`PullParser` consumes a complete document string and yields
 :mod:`~repro.xmlparse.events` in document order.  It enforces
 well-formedness (matching tags, single root, unique attribute names, legal
-name characters, legal content characters) and resolves the predefined
+name characters, legal characters everywhere) and resolves the predefined
 entities and numeric character references.  A DOCTYPE declaration, if
 present, is tolerated and skipped — external and internal DTD subsets are
 explicitly out of scope (the paper itself dismisses DTDs as insufficient
@@ -12,14 +12,20 @@ for typed metadata and moves to XML Schema).
 Line endings are normalized (``\\r\\n`` and ``\\r`` become ``\\n``) before
 parsing, as required by the XML specification, so reported line numbers
 and attribute values are identical regardless of the producing platform.
+
+Names and whitespace are scanned with the patterns compiled in
+:mod:`~repro.xmlparse.chars`; production [2] (legal characters) is checked
+once over the whole document.  The cursor is one offset, turned into
+``(line, column)`` only where an event or an error is emitted.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Iterator
 
 from repro.errors import XMLSyntaxError
-from repro.xmlparse import chars
+from repro.xmlparse.chars import ILLEGAL_CHAR, NAME, SPACE
 from repro.xmlparse.events import (
     CDataEvent,
     CharactersEvent,
@@ -56,10 +62,10 @@ class PullParser:
     def __init__(self, source: str) -> None:
         self._text = source.replace("\r\n", "\n").replace("\r", "\n")
         self._pos = 0
+        # _line is the line of offset _line_pos; _location counts on from it.
+        self._line_pos = 0
         self._line = 1
-        self._column = 1
         self._open_elements: list[str] = []
-        self._seen_root = False
         self._exhausted = False
 
     # -- public API -------------------------------------------------------
@@ -73,6 +79,9 @@ class PullParser:
         if self._exhausted:
             raise XMLSyntaxError("PullParser instances are single-use")
         self._exhausted = True
+        illegal = ILLEGAL_CHAR.search(self._text)
+        if illegal is not None:
+            self._error(f"illegal character U+{ord(illegal[0]):04X}", illegal.start())
 
         decl = self._parse_xml_decl()
         if decl is not None:
@@ -80,82 +89,76 @@ class PullParser:
         yield from self._parse_misc()
         self._skip_doctype()
         yield from self._parse_misc()
-        if self._at_end():
+        if self._pos >= len(self._text):
             self._error("document has no root element")
         yield from self._parse_element()
         yield from self._parse_misc()
-        if not self._at_end():
+        if self._pos < len(self._text):
             self._error("content after document root element")
 
     # -- low-level cursor -------------------------------------------------
 
-    def _at_end(self) -> bool:
-        return self._pos >= len(self._text)
+    def _location(self, pos: int) -> tuple[int, int]:
+        """1-based ``(line, column)`` of offset ``pos``.
 
-    def _peek(self, length: int = 1) -> str:
-        return self._text[self._pos : self._pos + length]
+        Events and errors are located in document order, so ``pos`` never
+        precedes the last offset located and newlines are counted once.
+        """
+        text = self._text
+        self._line += text.count("\n", self._line_pos, pos)
+        self._line_pos = pos
+        return self._line, pos - text.rfind("\n", 0, pos)
 
-    def _advance(self, length: int) -> str:
-        """Consume ``length`` characters, maintaining line/column."""
-        chunk = self._text[self._pos : self._pos + length]
-        newlines = chunk.count("\n")
-        if newlines:
-            self._line += newlines
-            self._column = length - chunk.rfind("\n")
-        else:
-            self._column += length
-        self._pos += length
-        return chunk
-
-    def _error(self, message: str) -> None:
-        raise XMLSyntaxError(message, self._line, self._column)
+    def _error(self, message: str, pos: int | None = None) -> None:
+        line, column = self._location(self._pos if pos is None else pos)
+        raise XMLSyntaxError(message, line, column)
 
     def _expect(self, literal: str) -> None:
         if not self._text.startswith(literal, self._pos):
             self._error(f"expected {literal!r}")
-        self._advance(len(literal))
+        self._pos += len(literal)
 
     def _skip_whitespace(self, required: bool = False) -> None:
-        start = self._pos
-        while not self._at_end() and self._text[self._pos] in chars.WHITESPACE:
-            self._advance(1)
-        if required and self._pos == start:
+        end = SPACE.match(self._text, self._pos).end()
+        if required and end == self._pos:
             self._error("expected whitespace")
+        self._pos = end
 
     def _scan_until(self, terminator: str, context: str) -> str:
         """Consume and return text up to (not including) ``terminator``."""
         index = self._text.find(terminator, self._pos)
         if index < 0:
             self._error(f"unterminated {context}: missing {terminator!r}")
-        return self._advance(index - self._pos)
+        chunk = self._text[self._pos : index]
+        self._pos = index
+        return chunk
 
     def _parse_name(self) -> str:
-        if self._at_end() or not chars.is_name_start(self._text[self._pos]):
+        match = NAME.match(self._text, self._pos)
+        if match is None:
             self._error("expected an XML name")
-        start = self._pos
-        end = start + 1
-        text = self._text
-        while end < len(text) and chars.is_name_char(text[end]):
-            end += 1
-        return self._advance(end - start)
+        self._pos = match.end()
+        return match.group()
 
     # -- prolog -----------------------------------------------------------
 
     def _parse_xml_decl(self) -> XMLDeclEvent | None:
-        if not self._text.startswith("<?xml", self._pos):
+        start = self._pos
+        # The declaration is the PI whose target is exactly "xml"; a target
+        # merely starting with "xml" is a PI (illegal anyway, but give the
+        # right error later).
+        if not self._text.startswith("<?xml", start):
             return None
-        # Distinguish the declaration from a PI whose target merely starts
-        # with "xml" (illegal anyway, but give the right error later).
-        after = self._text[self._pos + 5 : self._pos + 6]
-        if after and chars.is_name_char(after):
+        target = NAME.match(self._text, start + 2)
+        if target.end() != start + 5:
             return None
-        line, column = self._line, self._column
-        self._advance(5)
+        line, column = self._location(start)
+        self._pos += 5
         params: dict[str, str] = {}
         while True:
             self._skip_whitespace()
-            if self._peek(2) == "?>":
-                self._advance(2)
+            if self._text.startswith("?>", self._pos):
+                self._pos += 2
                 break
             name = self._parse_name()
             self._skip_whitespace()
@@ -176,18 +179,18 @@ class PullParser:
     def _skip_doctype(self) -> None:
         if not self._text.startswith("<!DOCTYPE", self._pos):
             return
-        self._advance(len("<!DOCTYPE"))
         depth = 0
-        while not self._at_end():
-            ch = self._text[self._pos]
+        # Find the ">" that closes the declaration, outside its [ ] subset.
+        for mark in re.finditer(r"[\[\]>]", self._text[self._pos :]):
+            ch = mark.group()
             if ch == "[":
                 depth += 1
             elif ch == "]":
                 depth -= 1
-            elif ch == ">" and depth == 0:
-                self._advance(1)
+            elif depth == 0:
+                self._pos += mark.end()
                 return
-            self._advance(1)
+        self._pos = len(self._text)
         self._error("unterminated DOCTYPE declaration")
 
     def _parse_misc(self) -> Iterator[Event]:
@@ -204,35 +207,35 @@ class PullParser:
     # -- markup -----------------------------------------------------------
 
     def _parse_comment(self) -> CommentEvent:
-        line, column = self._line, self._column
-        self._expect("<!--")
+        line, column = self._location(self._pos)
+        self._pos += 4  # "<!--"
         body = self._scan_until("--", "comment")
-        self._expect("--")
-        if self._peek() != ">":
+        self._pos += 2
+        if not self._text.startswith(">", self._pos):
             self._error("'--' is not allowed inside comments")
-        self._advance(1)
+        self._pos += 1
         return CommentEvent(line=line, column=column, text=body)
 
     def _parse_pi(self) -> ProcessingInstructionEvent:
-        line, column = self._line, self._column
-        self._expect("<?")
+        line, column = self._location(self._pos)
+        self._pos += 2  # "<?"
         target = self._parse_name()
         if target.lower() == "xml":
             self._error("processing instruction target may not be 'xml'")
         data = ""
-        if self._peek() not in ("?",):
+        if not self._text.startswith("?", self._pos):
             self._skip_whitespace(required=True)
             data = self._scan_until("?>", "processing instruction")
         self._expect("?>")
         return ProcessingInstructionEvent(line=line, column=column, target=target, data=data)
 
     def _parse_quoted(self) -> str:
-        quote = self._peek()
+        quote = self._text[self._pos : self._pos + 1]
         if quote not in ("'", '"'):
             self._error("expected a quoted value")
-        self._advance(1)
+        self._pos += 1
         raw = self._scan_until(quote, "quoted value")
-        self._advance(1)
+        self._pos += 1
         if "<" in raw:
             self._error("'<' is not allowed in attribute values")
         # Attribute-value normalization: whitespace chars become spaces.
@@ -272,7 +275,7 @@ class PullParser:
             ch = chr(code)
         except (ValueError, OverflowError):
             self._error(f"invalid character reference &{entity};")
-        if not chars.is_xml_char(ch):
+        if ILLEGAL_CHAR.match(ch):
             self._error(f"character reference &{entity}; is not a legal XML character")
         return ch
 
@@ -286,20 +289,26 @@ class PullParser:
             yield EndElementEvent(line=first.line, column=first.column, name=first.name)
             return
         self._open_elements.append(first.name)
+        text = self._text
         while self._open_elements:
-            if self._at_end():
+            pos = self._pos
+            if pos >= len(text):
                 self._error(f"unexpected end of document inside <{self._open_elements[-1]}>")
-            if self._text.startswith("<!--", self._pos):
-                yield self._parse_comment()
-            elif self._text.startswith("<![CDATA[", self._pos):
-                yield self._parse_cdata()
-            elif self._text.startswith("</", self._pos):
+            if text[pos] != "<":
+                event = self._parse_characters()
+                if event is not None:
+                    yield event
+            elif text.startswith("</", pos):
                 yield self._parse_end_tag()
-            elif self._text.startswith("<?", self._pos):
+            elif text.startswith("<!--", pos):
+                yield self._parse_comment()
+            elif text.startswith("<![CDATA[", pos):
+                yield self._parse_cdata()
+            elif text.startswith("<?", pos):
                 yield self._parse_pi()
-            elif self._text.startswith("<!", self._pos):
+            elif text.startswith("<!", pos):
                 self._error("unexpected markup declaration in content")
-            elif self._peek() == "<":
+            else:
                 start = self._parse_start_tag()
                 yield start
                 if start.empty:
@@ -308,33 +317,25 @@ class PullParser:
                     )
                 else:
                     self._open_elements.append(start.name)
-            else:
-                event = self._parse_characters()
-                if event is not None:
-                    yield event
 
     def _parse_start_tag(self) -> StartElementEvent:
-        line, column = self._line, self._column
+        line, column = self._location(self._pos)
         self._expect("<")
         name = self._parse_name()
         attributes: list[tuple[str, str]] = []
         seen: set[str] = set()
+        text = self._text
         while True:
-            had_space = self._peek() in chars.WHITESPACE
+            before = self._pos
             self._skip_whitespace()
-            if self._peek(2) == "/>":
-                self._advance(2)
+            empty = text.startswith("/>", self._pos)
+            if empty or text.startswith(">", self._pos):
+                self._pos += 2 if empty else 1
                 return StartElementEvent(
                     line=line, column=column, name=name,
-                    attributes=tuple(attributes), empty=True,
+                    attributes=tuple(attributes), empty=empty,
                 )
-            if self._peek() == ">":
-                self._advance(1)
-                return StartElementEvent(
-                    line=line, column=column, name=name,
-                    attributes=tuple(attributes), empty=False,
-                )
-            if not had_space:
+            if self._pos == before:
                 self._error(f"expected whitespace before attribute in <{name}>")
             attr_name = self._parse_name()
             if attr_name in seen:
@@ -346,8 +347,8 @@ class PullParser:
             attributes.append((attr_name, self._parse_quoted()))
 
     def _parse_end_tag(self) -> EndElementEvent:
-        line, column = self._line, self._column
-        self._expect("</")
+        line, column = self._location(self._pos)
+        self._pos += 2  # "</"
         name = self._parse_name()
         self._skip_whitespace()
         self._expect(">")
@@ -359,26 +360,25 @@ class PullParser:
         return EndElementEvent(line=line, column=column, name=name)
 
     def _parse_cdata(self) -> CDataEvent:
-        line, column = self._line, self._column
-        self._expect("<![CDATA[")
+        line, column = self._location(self._pos)
+        self._pos += 9  # "<![CDATA["
         body = self._scan_until("]]>", "CDATA section")
-        self._expect("]]>")
+        self._pos += 3
         return CDataEvent(line=line, column=column, text=body)
 
     def _parse_characters(self) -> CharactersEvent | None:
-        line, column = self._line, self._column
-        index = self._text.find("<", self._pos)
+        start = self._pos
+        index = self._text.find("<", start)
         if index < 0:
             index = len(self._text)
-        raw = self._advance(index - self._pos)
+        raw = self._text[start:index]
+        self._pos = index
         if "]]>" in raw:
             self._error("']]>' is not allowed in character data")
         text = self._resolve_entities(raw)
-        for ch in text:
-            if not chars.is_xml_char(ch):
-                self._error(f"illegal character U+{ord(ch):04X} in content")
         if not text:
             return None
+        line, column = self._location(start)
         return CharactersEvent(line=line, column=column, text=text)
 
 

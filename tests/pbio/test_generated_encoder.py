@@ -2,12 +2,16 @@
 
 import pytest
 
+from repro import XML2Wire
 from repro.arch import SPARC_32, X86_64
 from repro.errors import EncodeError
 from repro.pbio import IOContext, IOField
 from repro.pbio.codegen import generate_encoder_source, make_generated_encoder
 from repro.pbio.encode import encode_record
 
+from repro.workloads import ASDOFF_A_SCHEMA, ASDOFF_B_SCHEMA, ASDOFF_CD_SCHEMA
+
+from tests.golden import vectors
 from tests.pbio.conftest import ASDOFF_RECORD, register_asdoff
 
 
@@ -137,3 +141,61 @@ class TestFallbackCorrectness:
         generated = encode_record(fmt, {"c": 65}, mode="generated")
         interpreted = encode_record(fmt, {"c": 65}, mode="interpreted")
         assert generated == interpreted == b"A"
+
+
+#: Golden vector name -> (schema document, format the record is encoded as).
+XML_VECTORS = {
+    "asdoff_a": (ASDOFF_A_SCHEMA, "ASDOffEvent"),
+    "asdoff_b": (ASDOFF_B_SCHEMA, "ASDOffEvent"),
+    "asdoff_cd": (ASDOFF_CD_SCHEMA, "threeASDOffs"),
+}
+
+
+def encoder_misses(registry) -> dict:
+    snap = registry.snapshot().get("pbio_codegen_total", {})
+    return {
+        kind: snap.get((("kind", kind), ("event", "miss")), 0)
+        for kind in ("encoder", "encode_into")
+    }
+
+
+class TestCompiledOnFirstEncode:
+    """Registration compiles no encoder; the first encode compiles the
+    one it uses, and its output is already byte-exact."""
+
+    def test_receiver_binding_compiles_no_encoder(self, fresh_registry):
+        golden_data = vectors.data_path("asdoff_b").read_bytes()
+        sender = IOContext(SPARC_32)
+        XML2Wire(sender).register_schema(ASDOFF_B_SCHEMA)
+        wire = sender.lookup_format("ASDOffEvent")
+        receiver = IOContext(X86_64)
+        XML2Wire(receiver).register_schema(ASDOFF_B_SCHEMA)
+        native = receiver.lookup_format("ASDOffEvent")
+        receiver.learn_format(wire.to_wire_metadata())
+        decoded = receiver.decode(golden_data, expect="ASDOffEvent").values
+        assert decoded["fltNum"] == vectors.RECORD_B["fltNum"]
+        assert encoder_misses(fresh_registry) == {"encoder": 0, "encode_into": 0}
+        for fmt in (wire, native):
+            assert not hasattr(fmt, "_generated_encoder")
+            assert not hasattr(fmt, "_generated_encode_into")
+
+    @pytest.mark.parametrize("name", sorted(XML_VECTORS))
+    def test_first_encode_is_byte_exact(self, name, fresh_registry):
+        schema, format_name = XML_VECTORS[name]
+        record = vectors.VECTORS[name][1]
+        context = IOContext(SPARC_32)
+        XML2Wire(context).register_schema(schema)
+        assert context.encode(format_name, record) == vectors.data_path(name).read_bytes()
+        assert encoder_misses(fresh_registry) == {"encoder": 1, "encode_into": 0}
+
+    @pytest.mark.parametrize("name", sorted(XML_VECTORS))
+    def test_first_encode_into_is_byte_exact(self, name, fresh_registry):
+        schema, format_name = XML_VECTORS[name]
+        record = vectors.VECTORS[name][1]
+        golden_data = vectors.data_path(name).read_bytes()
+        context = IOContext(SPARC_32)
+        XML2Wire(context).register_schema(schema)
+        buffer = bytearray(len(golden_data) + 8)
+        length = context.encode_into(format_name, record, buffer, 8)
+        assert bytes(buffer[8 : 8 + length]) == golden_data
+        assert encoder_misses(fresh_registry) == {"encoder": 0, "encode_into": 1}

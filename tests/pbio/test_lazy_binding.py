@@ -218,6 +218,39 @@ class TestFusedConverter:
             "flight": "Y", "alt": 5,
         }
 
+    @pytest.fixture
+    def broken_fusion(self, monkeypatch):
+        def fail(wire_format, target_format):
+            raise RuntimeError("fusion unavailable")
+
+        monkeypatch.setattr("repro.pbio.decode.make_fused_converter", fail)
+
+    def test_fused_build_failure_falls_back_and_is_counted(
+        self, broken_fusion, fresh_registry
+    ):
+        sender, wire, receiver, _ = self.formats()
+        message = sender.encode(wire, {"flight": "Z", "alt": 3, "speed": 0.5})
+        receiver.learn_format(wire.to_wire_metadata())
+        assert receiver.decode(message, expect="track").values == {
+            "flight": "Z", "alt": 3,
+        }
+        snap = fresh_registry.snapshot()["pbio_codegen_total"]
+        assert snap[(("kind", "fused"), ("event", "fallback"))] == 1
+
+    def test_forced_fusion_failure_propagates_uncounted(
+        self, broken_fusion, fresh_registry
+    ):
+        sender = IOContext(SPARC_32)
+        wire = sender.register_format("track", v2_fields(SPARC_32))
+        receiver = IOContext(X86_64, use_fused=True)
+        receiver.register_format("track", v1_fields(X86_64))
+        receiver.learn_format(wire.to_wire_metadata())
+        message = sender.encode(wire, {"flight": "Z", "alt": 3, "speed": 0.5})
+        with pytest.raises(RuntimeError, match="fusion unavailable"):
+            receiver.decode(message, expect="track")
+        snap = fresh_registry.snapshot()["pbio_codegen_total"]
+        assert (("kind", "fused"), ("event", "fallback")) not in snap
+
 
 class TestConverterCacheBounds:
     def test_cache_is_bounded(self):

@@ -10,12 +10,20 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import IOContext, SPARC_32, X86_64, XML2Wire
+from repro import IOContext, SPARC_32, X86_64, XML2Wire, parse_schema
 from repro.errors import ReproError
 from repro.events.remote import unpack_envelope
 from repro.pbio.format import IOFormat
 from repro.wire import CDRCodec, XDRCodec
-from repro.workloads import ASDOFF_B_SCHEMA, AirlineWorkload
+from repro.workloads import (
+    ASDOFF_A_SCHEMA,
+    ASDOFF_B_SCHEMA,
+    ASDOFF_CD_SCHEMA,
+    AirlineWorkload,
+    make_synthetic_schema,
+)
+
+from tests.xmlparse.test_chars import BOUNDARIES
 
 RELAXED = settings(
     max_examples=200,
@@ -119,3 +127,56 @@ class TestTruncationSweep:
                     pytest.fail(
                         f"untyped {type(exc).__name__} at truncation {cut}: {exc}"
                     )
+
+
+#: The paper's schemas and synthetic ones shaped like a cold bind's.
+SCHEMA_DOCUMENTS = [
+    ASDOFF_A_SCHEMA,
+    ASDOFF_B_SCHEMA,
+    ASDOFF_CD_SCHEMA,
+    make_synthetic_schema(4, mix="integers", type_name="Bind0a1b2N0"),
+    make_synthetic_schema(13, mix="mixed", type_name="Bind3c4d5N1"),
+    make_synthetic_schema(24, mix="strings", type_name="Bind6e7f8N2"),
+    make_synthetic_schema(7, mix="numeric", array_field=True),
+]
+
+#: Characters worth inserting: every character-class boundary (and its
+#: neighbours) plus the characters markup is made of.
+INSERTABLE = [chr(code) for code in BOUNDARIES] + list("<>&;#x\"'=/?!-[]: \n")
+
+
+def parse_contained(source: str) -> None:
+    """parse_schema either succeeds or raises a ReproError."""
+    try:
+        parse_schema(source)
+    except ReproError:
+        pass
+
+
+class TestSchemaParseMutations:
+    @RELAXED
+    @given(
+        document=st.sampled_from(SCHEMA_DOCUMENTS),
+        position=st.integers(0, 10_000),
+        delta=st.integers(1, 255),
+    )
+    def test_byte_flip_contained(self, document, position, delta):
+        # Flipped UTF-8 may not decode; surrogateescape keeps the bad
+        # bytes as lone surrogates, which the parser must reject.
+        broken = mutate(document.encode("utf-8"), position, delta)
+        parse_contained(broken.decode("utf-8", "surrogateescape"))
+
+    @RELAXED
+    @given(
+        document=st.sampled_from(SCHEMA_DOCUMENTS),
+        position=st.integers(0, 10_000),
+        inserted=st.lists(st.sampled_from(INSERTABLE), min_size=1, max_size=3),
+    )
+    def test_inserted_characters_contained(self, document, position, inserted):
+        cut = position % (len(document) + 1)
+        parse_contained(document[:cut] + "".join(inserted) + document[cut:])
+
+    def test_every_prefix_contained(self):
+        for document in SCHEMA_DOCUMENTS[:4]:
+            for cut in range(len(document)):
+                parse_contained(document[:cut])

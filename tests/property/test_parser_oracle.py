@@ -9,8 +9,10 @@ the library itself never imports it.
 
 import xml.etree.ElementTree as StdlibET
 
+import pytest
 from hypothesis import given, settings
 
+from repro.errors import XMLSyntaxError
 from repro.xmlparse import parse_document, write_document
 
 from tests.property.test_xml_properties import elements
@@ -79,3 +81,29 @@ class TestAgainstStdlib:
         theirs = StdlibET.fromstring(source)
         assert ours.text == theirs.text
         assert ours.get("x") == theirs.get("x")
+
+
+#: One well-formed document per place an illegal character can hide;
+#: ``{c}`` marks where it goes.
+ILLEGAL_CHAR_SITES = {
+    "name": '<r><fi{c}eld x="1">t</fi{c}eld></r>',
+    "attribute value": '<r><e x="a{c}b">t</e></r>',
+    "text": '<r><e x="1">te{c}xt</e></r>',
+    "comment": "<r><!-- a{c}b --><e/></r>",
+    "cdata": "<r><![CDATA[a{c}b]]></r>",
+}
+
+
+class TestIllegalCharactersAgainstStdlib:
+    @pytest.mark.parametrize("site", sorted(ILLEGAL_CHAR_SITES))
+    @pytest.mark.parametrize("char", ["\x01", "\x08", "\ufffe"])
+    def test_both_parsers_reject(self, site, char):
+        template = ILLEGAL_CHAR_SITES[site]
+        clean = template.format(c="")
+        parse_document(clean)
+        StdlibET.fromstring(clean)
+        broken = template.format(c=char)
+        with pytest.raises(XMLSyntaxError):
+            parse_document(broken)
+        with pytest.raises(StdlibET.ParseError):
+            StdlibET.fromstring(broken)

@@ -1,5 +1,7 @@
 """Unit tests for the XML pull parser (repro.xmlparse.parser)."""
 
+import re
+
 import pytest
 
 from repro.errors import XMLSyntaxError
@@ -12,6 +14,7 @@ from repro.xmlparse import (
     StartElementEvent,
     XMLDeclEvent,
     PullParser,
+    parse_document,
     parse_events,
 )
 
@@ -185,6 +188,19 @@ class TestPositions:
         else:
             pytest.fail("expected XMLSyntaxError")
 
+    def test_element_positions_match_tag_offsets(self):
+        """Every element's (line, column) is the position of its '<'."""
+        from tests.schema.conftest import FIGURE_6, FIGURE_9, FIGURE_12
+
+        for source in (FIGURE_6, FIGURE_9, FIGURE_12):
+            offsets = [m.start() for m in re.finditer(r"<[^/!?]", source)]
+            expected = [
+                (source.count("\n", 0, at) + 1, at - source.rfind("\n", 0, at))
+                for at in offsets
+            ]
+            positions = [(e.line, e.column) for e in parse_document(source).iter()]
+            assert positions == expected
+
     def test_crlf_normalized(self):
         (chars,) = events_of_type("<a>x\r\ny</a>", CharactersEvent)
         assert chars.text == "x\ny"
@@ -192,6 +208,37 @@ class TestPositions:
     def test_attribute_value_newlines_normalized_to_spaces(self):
         (start,) = events_of_type('<a x="one\ntwo"/>', StartElementEvent)
         assert start.attributes == (("x", "one two"),)
+
+
+class TestIllegalCharacters:
+    """Production [2] holds everywhere in the document, not only in text."""
+
+    @pytest.mark.parametrize(
+        "source,column",
+        [
+            ('<a b="x\x01y"/>', 8),  # attribute value
+            ("<a><!-- \x01 --></a>", 9),  # comment
+            ("<a><![CDATA[\x01]]></a>", 13),  # CDATA section
+            ("<a><?pi da\x01ta?></a>", 11),  # processing instruction data
+            ("<a>x\x08</a>", 5),  # text content
+            ("<a\x01/>", 3),  # name
+            ("<a>\ufffe</a>", 4),  # non-character
+            ("<a>\ud800</a>", 4),  # lone surrogate
+        ],
+    )
+    def test_rejected_with_position(self, source, column):
+        with pytest.raises(XMLSyntaxError, match="illegal character") as info:
+            parse_events(source)
+        assert (info.value.line, info.value.column) == (1, column)
+
+    def test_position_on_a_later_line(self):
+        with pytest.raises(XMLSyntaxError, match="U\\+0001") as info:
+            parse_events('<a>\n  <b c="ok"/>\n  <!-- x\x01 -->\n</a>')
+        assert (info.value.line, info.value.column) == (3, 9)
+
+    def test_legal_astral_and_whitespace_characters_accepted(self):
+        (chars,) = events_of_type("<a>\t\U0001F600\U0010FFFD</a>", CharactersEvent)
+        assert chars.text == "\t\U0001F600\U0010FFFD"
 
 
 class TestPaperSchemaDocument:
