@@ -61,8 +61,9 @@ from repro import (
     XMLTextCodec,
     XML2Wire,
 )
-from repro.pbio.codegen import make_generated_converter, make_interpreted_converter
+from repro.pbio.codegen import make_generated_converter
 from repro.pbio.encode import encode_record
+from repro.pbio.oracle import make_interpreted_converter
 from repro.workloads import (
     ASDOFF_A_SCHEMA,
     ASDOFF_B_SCHEMA,

@@ -5,7 +5,8 @@ routines created on-the-fly through dynamic code generation".  This
 ablation decodes identical heterogeneous payloads with:
 
 - the generated converter (one specialized unpack, offsets baked in);
-- the interpreted converter (per-field metadata walk per record);
+- the interpreted converter (per-field metadata walk per record), the
+  test oracle of :mod:`repro.pbio.oracle`;
 
 across field counts from 4 to 128.  The gap *is* the DCG benefit, and it
 widens with field count.  A second pair measures the one-time build cost
@@ -18,8 +19,9 @@ import time
 import pytest
 
 from repro import IOContext, SPARC_32, XML2Wire
-from repro.pbio.codegen import make_generated_converter, make_interpreted_converter
+from repro.pbio.codegen import make_generated_converter
 from repro.pbio.encode import encode_record
+from repro.pbio.oracle import InterpretedEncoder, make_interpreted_converter
 from repro.workloads import SyntheticWorkload
 
 FIELD_COUNTS = [4, 16, 64, 128]
@@ -81,18 +83,18 @@ def test_encode_generated(benchmark, fields):
     XML2Wire(context).register_schema(workload.schema)
     fmt = context.lookup_format("Synthetic")
     record = workload.record()
-    benchmark(lambda: encode_record(fmt, record, mode="generated"))
+    benchmark(lambda: encode_record(fmt, record))
 
 
 @pytest.mark.parametrize("fields", FIELD_COUNTS, ids=lambda f: f"{f}-fields")
 def test_encode_interpreted(benchmark, fields):
-    """Sender-side baseline: the plan-walking encoder."""
+    """Sender-side baseline: the interpreted, record-walking encoder."""
     workload = SyntheticWorkload(fields, mix="mixed")
     context = IOContext(SPARC_32)
     XML2Wire(context).register_schema(workload.schema)
     fmt = context.lookup_format("Synthetic")
     record = workload.record()
-    benchmark(lambda: encode_record(fmt, record, mode="interpreted"))
+    benchmark(InterpretedEncoder(fmt).encode, record)
 
 
 @pytest.mark.parametrize("fields", [16, 128], ids=lambda f: f"{f}-fields")

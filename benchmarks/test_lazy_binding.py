@@ -6,7 +6,10 @@ Two claims of PROTOCOL §16, measured:
   format) the compiled fused converter must deliver at least **5x** the
   records/second of the interpreted decode-then-project composition
   once batches reach 64 records (one converter-cache probe amortized
-  over the batch — the broker receive loop's actual shape).
+  over the batch — the broker receive loop's actual shape).  The
+  interpreted arm is :func:`repro.pbio.oracle.make_interpreted_decoder`
+  held in a :class:`~repro.pbio.lru.BoundedLRU` of its own, so both
+  arms pay the same kind of probe.
 - **Bounded converter cache**: pushing 10k distinct wire formats
   through a capacity-bounded cache must hold the live entry count at
   the cap, and steady-state traffic over a small working set must hit
@@ -25,6 +28,8 @@ from repro.pbio import IOContext, IOField
 from repro.pbio.context import HEADER, HEADER_SIZE
 from repro.pbio.decode import ConverterCache
 from repro.pbio.format import IOFormat
+from repro.pbio.lru import BoundedLRU
+from repro.pbio.oracle import make_interpreted_decoder
 
 #: Batch sizes swept by the decode A/B; the acceptance gate reads the
 #: best batch >= 64.
@@ -84,17 +89,17 @@ def _evolved_pair():
     return wire, target, payload
 
 
-def _decode_batches(cache, wire, target, mode, payload, batch_size) -> float:
+def _decode_batches(lookup, payload, batch_size) -> float:
     """Decode TOTAL_RECORDS in batches; returns records per second.
 
-    Each batch pays one converter-cache probe and ``batch_size``
-    conversions — the receive loop of a subscriber draining a burst of
-    same-format events.
+    Each batch pays one converter probe (``lookup()``) and
+    ``batch_size`` conversions — the receive loop of a subscriber
+    draining a burst of same-format events.
     """
     batches = TOTAL_RECORDS // batch_size
     started = time.perf_counter()
     for _ in range(batches):
-        converter = cache.lookup(wire, target, mode)
+        converter = lookup()
         for _ in range(batch_size):
             converter(payload)
     elapsed = time.perf_counter() - started
@@ -105,18 +110,26 @@ def run_fused_decode_ab(trials: int = 3) -> dict:
     """Fused vs interpreted evolved-record decode across batch sizes."""
     wire, target, payload = _evolved_pair()
     cache = ConverterCache()
+    key = (wire.format_id, target.format_id)
+    oracle = BoundedLRU(1, name="oracle")
+    oracle.put(key, make_interpreted_decoder(wire, target))
+
+    def fused_lookup():
+        return cache.lookup(wire, target)
+
+    def interpreted_lookup():
+        return oracle.get(key)
+
     # Sanity: both paths agree before anything is timed.
-    fused_values = cache.lookup(wire, target, "generated")(payload)
-    interp_values = cache.lookup(wire, target, "interpreted")(payload)
-    assert fused_values == interp_values
+    assert fused_lookup()(payload) == interpreted_lookup()(payload)
     batches = {}
     for batch_size in BATCH_SIZES:
         fused = max(
-            _decode_batches(cache, wire, target, "generated", payload, batch_size)
+            _decode_batches(fused_lookup, payload, batch_size)
             for _ in range(trials)
         )
         interpreted = max(
-            _decode_batches(cache, wire, target, "interpreted", payload, batch_size)
+            _decode_batches(interpreted_lookup, payload, batch_size)
             for _ in range(trials)
         )
         batches[batch_size] = {
@@ -148,9 +161,7 @@ def run_cache_churn(
     over a 64-format working set, where the cache must serve >= 99%
     of lookups.
     """
-    receiver = IOContext(
-        X86_64, converter_capacity=capacity, use_fused=None
-    )
+    receiver = IOContext(X86_64, converter_capacity=capacity)
     distinct = []
     for index in range(formats):
         fmt = IOFormat(

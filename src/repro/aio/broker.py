@@ -388,7 +388,7 @@ class AsyncRemotePublisher:
         )
         self.published += 1
 
-    async def publish_batch(self, fmt: IOFormat | str, records, *, use_numpy=None) -> int:
+    async def publish_batch(self, fmt: IOFormat | str, records) -> int:
         """Publish ``records`` as ONE columnar batch message; returns
         the record count."""
         context = self.client.context
@@ -401,7 +401,7 @@ class AsyncRemotePublisher:
                 )
             )
             self._announced.add(fmt.format_id)
-        message = context.encode_batch(fmt, records, use_numpy=use_numpy)
+        message = context.encode_batch(fmt, records)
         await self.client.channel.send(
             pack_envelope(OP_PUBLISH, self.stream, payload=message)
         )

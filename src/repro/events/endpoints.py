@@ -46,7 +46,7 @@ class Publisher:
             self.stream, inject(self.context.encode(fmt, record))
         )
 
-    def publish_batch(self, fmt: IOFormat | str, records, *, use_numpy=None) -> int:
+    def publish_batch(self, fmt: IOFormat | str, records) -> int:
         """Publish ``records`` as ONE columnar batch message.
 
         The backbone routes a single immutable frame that every matching
@@ -58,7 +58,7 @@ class Publisher:
         if fmt.format_id not in self._announced:
             self.backbone.route(self.stream, self.context.format_message(fmt))
             self._announced.add(fmt.format_id)
-        message = self.context.encode_batch(fmt, records, use_numpy=use_numpy)
+        message = self.context.encode_batch(fmt, records)
         return self.backbone.route(self.stream, message)
 
     def advertise_metadata(self, url: str) -> None:

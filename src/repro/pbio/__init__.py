@@ -23,8 +23,9 @@ Public surface:
   format-id resolution and converter caching.
 - :class:`~repro.pbio.context.DecodedRecord` — a decoded message.
 - :mod:`~repro.pbio.evolution` — restricted format evolution (field
-  addition/removal tolerance by name matching), compiled projections,
-  the :class:`~repro.pbio.evolution.Compatibility` lattice and the
+  addition/removal tolerance by name matching), the projection plan
+  the fused converters compile, the
+  :class:`~repro.pbio.evolution.Compatibility` lattice and the
   :class:`~repro.pbio.evolution.FormatLineage` registry.
 - :mod:`~repro.pbio.lru` — the shared bounded LRU behind the converter,
   format-server and metadata-client caches (PROTOCOL §16).
@@ -52,7 +53,6 @@ from repro.pbio.evolution import (
     FormatLineage,
     compare_formats,
     formats_compatible,
-    make_projection,
 )
 from repro.pbio.fmserver import FormatServer
 from repro.pbio.lru import BoundedLRU
@@ -66,7 +66,6 @@ __all__ = [
     "FormatLineage",
     "compare_formats",
     "formats_compatible",
-    "make_projection",
     "IOFileReader",
     "IOFileWriter",
     "dump_records",

@@ -11,10 +11,11 @@ and returns the resulting function.
 The generated converter makes exactly one ``struct.unpack_from`` call for
 the entire fixed region of the record (pad bytes standing in for
 compiler padding and skipped wire fields), then fixes up strings and
-dynamic arrays from the variable section.  An interpreted converter that
-walks the field list per record is provided alongside for the ablation
-benchmark (experiment A1): the generated/interpreted gap is this
-module's reason to exist.
+dynamic arrays from the variable section.  The same generator emits the
+fused decode+project converter for evolved (wire, native) pairs and the
+sender-side ``encode`` / ``encode_into`` functions.  Each is the only
+implementation of its job; the interpreted versions they are tested and
+benchmarked against (experiment A1) live in :mod:`repro.pbio.oracle`.
 
 Example of generated source for the paper's Structure A on sparc_32::
 
@@ -33,9 +34,17 @@ from __future__ import annotations
 import struct
 from typing import Callable
 
-from repro.errors import ConversionError
-from repro.pbio.encode import EncodePlan, _FixedLeaf, get_encode_plan
+from repro.arch.model import TypeKind
+from repro.errors import ConversionError, EncodeError
+from repro.pbio.encode import (
+    EncodePlan,
+    _FixedLeaf,
+    get_encode_plan,
+    ndarray_wire_bytes,
+)
+from repro.pbio.evolution import default_value
 from repro.pbio.format import IOFormat
+from repro.pbio.types import DTYPE_CHARS
 
 Converter = Callable[[bytes], dict]
 
@@ -70,33 +79,78 @@ def _read_string(payload, offset: int) -> str | None:
 def generate_converter_source(wire_format: IOFormat, function_name: str = "convert") -> str:
     """Produce the Python source of a converter for ``wire_format``.
 
-    Exposed separately from :func:`make_generated_converter` so tests and
-    documentation can inspect the generated code.
+    The record comes back in the wire format's own shape: this is the
+    fused converter with the wire format as its own target, so every
+    field is a copy.  Exposed separately from
+    :func:`make_generated_converter` so tests and documentation can
+    inspect the generated code.
+    """
+    return generate_fused_converter_source(wire_format, wire_format, function_name)
+
+
+def make_generated_converter(wire_format: IOFormat) -> Converter:
+    """Compile and return a converter function for ``wire_format``."""
+    return _compile_converter(
+        generate_converter_source(wire_format),
+        f"<pbio converter for {wire_format.name}>",
+    )
+
+
+# -- fused decode+project (instance-based lazy binding) ------------------------
+#
+# When the wire format and the receiver's native format differ, the
+# fused converter decodes and projects in one pass: it walks the
+# *target* format's fields, pulling matched values straight out of the
+# unpacked wire tuple and inlining defaults as literals, so no
+# intermediate wire-shaped dict is ever built.  Dropped wire fields cost
+# nothing — their unpack positions are simply never read — and
+# dynamic-array prologue statements are emitted only for arrays the
+# target actually keeps.
+
+
+def generate_fused_converter_source(
+    wire_format: IOFormat,
+    target_format: IOFormat,
+    function_name: str = "convert",
+) -> str:
+    """Source of a converter decoding wire records into the target shape.
+
+    Value-identical to the interpreted decode-then-project composition
+    of :mod:`repro.pbio.oracle`, minus the intermediate wire-shaped
+    dict.  Exposed separately so tests and ``pbdump`` can inspect the
+    generated code.
     """
     plan = get_encode_plan(wire_format)
     order = "<" if wire_format.arch.is_little_endian else ">"
-    leaf_index = {id(leaf): position for position, leaf in enumerate(plan.leaves)}
-
-    prologue: list[str] = []
-    # Dynamic arrays need their data unpacked with a run-time count; emit
-    # one statement per array before the dict literal.
-    array_names: dict[tuple[str, ...], str] = {}
+    positions = _leaf_positions(plan)
     counts = _count_leaf_positions(plan)
+
+    array_names: dict[tuple[str, ...], str] = {}
     for item_number, item in enumerate(plan.var_items):
-        if item.kind != "array":
+        if item.kind == "array":
+            array_names[item.path] = f"a{item_number}"
+
+    used_arrays: set[tuple[str, ...]] = set()
+    body = _emit_fused(
+        plan, positions, wire_format, target_format, (), array_names,
+        used_arrays, indent=2,
+    )
+
+    # Dynamic arrays need their data unpacked with a run-time count; emit
+    # one statement per kept array before the dict display.
+    prologue: list[str] = []
+    for item in plan.var_items:
+        if item.kind != "array" or item.path not in used_arrays:
             continue
-        ptr_pos = _pointer_position(plan, item.path, leaf_index)
+        ptr_pos = _pointer_position(plan, positions, item.path)
         count_pos = counts[item.path]
-        var_name = f"a{item_number}"
-        array_names[item.path] = var_name
         prologue.append(
-            f"    {var_name} = ("
+            f"    {array_names[item.path]} = ("
             f"list(unpack_from({order!r} + str(v[{count_pos}]) + "
             f"{item.element_code!r}, payload, v[{ptr_pos}])) "
             f"if v[{ptr_pos}] else [])"
         )
 
-    body = _emit_dict(plan, wire_format, (), leaf_index, array_names, indent=2)
     lines = [
         f"def {function_name}(payload, unpack_from=unpack_from, _str=_str):",
         f"    v = unpack_from({plan.fixed_struct.format!r}, payload, 0)",
@@ -107,35 +161,26 @@ def generate_converter_source(wire_format: IOFormat, function_name: str = "conve
     return "\n".join(lines)
 
 
-def make_generated_converter(wire_format: IOFormat) -> Converter:
-    """Compile and return a converter function for ``wire_format``."""
-    source = generate_converter_source(wire_format)
+def make_fused_converter(
+    wire_format: IOFormat, target_format: IOFormat
+) -> Converter:
+    """Compile the fused decode+project converter for the pair."""
+    return _compile_converter(
+        generate_fused_converter_source(wire_format, target_format),
+        f"<pbio fused converter {wire_format.name} -> {target_format.name}>",
+    )
+
+
+def _compile_converter(source: str, filename: str) -> Converter:
     namespace = {"unpack_from": struct.unpack_from, "_str": _read_string}
     try:
-        code = compile(source, f"<pbio converter for {wire_format.name}>", "exec")
-        exec(code, namespace)  # noqa: S102 - this is the DCG mechanism itself
+        exec(compile(source, filename, "exec"), namespace)  # noqa: S102 - DCG itself
     except SyntaxError as exc:  # pragma: no cover - generator bug guard
-        raise ConversionError(
-            f"generated converter for {wire_format.name!r} failed to "
-            f"compile: {exc}\n{source}"
-        ) from exc
+        raise ConversionError(f"{filename} failed to compile: {exc}\n{source}") from exc
     return namespace["convert"]
 
 
 # -- generation internals -----------------------------------------------------
-
-
-def _count_leaf_positions(plan: EncodePlan) -> dict[tuple[str, ...], int]:
-    """Map each dynamic array path to its count leaf's unpack position."""
-    result: dict[tuple[str, ...], int] = {}
-    position = 0
-    for leaf in plan.leaves:
-        if leaf.role == "count":
-            for measured_path in leaf.measures:
-                result[measured_path] = position
-        position += _leaf_width(leaf)
-    # Re-walk to translate flat positions: widths accounted below.
-    return result
 
 
 def _leaf_width(leaf: _FixedLeaf) -> int:
@@ -155,10 +200,20 @@ def _leaf_positions(plan: EncodePlan) -> dict[int, int]:
     return positions
 
 
-def _pointer_position(
-    plan: EncodePlan, path: tuple[str, ...], leaf_index: dict[int, int]
-) -> int:
+def _count_leaf_positions(plan: EncodePlan) -> dict[tuple[str, ...], int]:
+    """Map each dynamic array path to its count leaf's unpack position."""
     positions = _leaf_positions(plan)
+    return {
+        measured_path: positions[id(leaf)]
+        for leaf in plan.leaves
+        if leaf.role == "count"
+        for measured_path in leaf.measures
+    }
+
+
+def _pointer_position(
+    plan: EncodePlan, positions: dict[int, int], path: tuple[str, ...]
+) -> int:
     for leaf in plan.leaves:
         if leaf.path == path and leaf.role in ("string_ptr", "dyn_ptr"):
             return positions[id(leaf)]
@@ -197,108 +252,9 @@ def _wire_value_expr(
     return f"v[{start}]"  # scalar or count
 
 
-def _emit_dict(
-    plan: EncodePlan,
-    fmt: IOFormat,
-    prefix: tuple[str, ...],
-    leaf_index: dict[int, int],
-    array_names: dict[tuple[str, ...], str],
-    indent: int,
-) -> str:
-    positions = _leaf_positions(plan)
-    by_path: dict[tuple[str, ...], _FixedLeaf] = {leaf.path: leaf for leaf in plan.leaves}
-    pad = " " * (indent * 4)
-    inner = " " * ((indent + 1) * 4)
-    entries: list[str] = []
-    for field in fmt.compiled_fields:
-        path = prefix + (field.name,)
-        if field.nested is not None:
-            if field.static_count == 1:
-                value = _emit_dict(
-                    plan, field.nested, path, leaf_index, array_names, indent + 1
-                )
-            else:
-                elements = [
-                    _emit_dict(
-                        plan, field.nested, path + (str(i),), leaf_index,
-                        array_names, indent + 1,
-                    )
-                    for i in range(field.static_count)
-                ]
-                value = "[" + ", ".join(elements) + "]"
-        else:
-            value = _wire_value_expr(field, path, by_path, positions, array_names)
-        entries.append(f"{inner}{field.name!r}: {value},")
-    return "{\n" + "\n".join(entries) + f"\n{pad}}}"
-
-
-# -- fused decode+project (instance-based lazy binding) ------------------------
-#
-# When the wire format and the receiver's native format differ, the
-# two-step path decodes a wire-shaped dict and then projects it onto the
-# native format — building and discarding an intermediate dict per
-# record.  The fused converter bakes the projection into the converter
-# itself: it walks the *target* format's fields, pulling matched values
-# straight out of the unpacked wire tuple, inlining defaults as literals
-# and never materializing the wire-shaped intermediate.  Dropped wire
-# fields cost nothing — their unpack positions are simply never read —
-# and dynamic-array prologue statements are emitted only for arrays the
-# target actually keeps.
-
-
-def generate_fused_converter_source(
-    wire_format: IOFormat,
-    target_format: IOFormat,
-    function_name: str = "convert",
-) -> str:
-    """Source of a converter decoding wire records into the target shape.
-
-    Value-identical to ``project(convert(payload))`` with the separate
-    generated converter and compiled projection, minus the intermediate
-    wire-shaped dict.  Exposed separately so tests and ``pbdump`` can
-    inspect the generated code.
-    """
-    plan = get_encode_plan(wire_format)
-    order = "<" if wire_format.arch.is_little_endian else ">"
-    counts = _count_leaf_positions(plan)
-
-    array_names: dict[tuple[str, ...], str] = {}
-    for item_number, item in enumerate(plan.var_items):
-        if item.kind == "array":
-            array_names[item.path] = f"a{item_number}"
-
-    used_arrays: set[tuple[str, ...]] = set()
-    body = _emit_fused(
-        plan, wire_format, target_format, (), array_names, used_arrays, indent=2
-    )
-
-    prologue: list[str] = []
-    for item in plan.var_items:
-        if item.kind != "array" or item.path not in used_arrays:
-            continue
-        leaf_index = {id(leaf): pos for pos, leaf in enumerate(plan.leaves)}
-        ptr_pos = _pointer_position(plan, item.path, leaf_index)
-        count_pos = counts[item.path]
-        var_name = array_names[item.path]
-        prologue.append(
-            f"    {var_name} = ("
-            f"list(unpack_from({order!r} + str(v[{count_pos}]) + "
-            f"{item.element_code!r}, payload, v[{ptr_pos}])) "
-            f"if v[{ptr_pos}] else [])"
-        )
-
-    lines = [
-        f"def {function_name}(payload, unpack_from=unpack_from, _str=_str):",
-        f"    v = unpack_from({plan.fixed_struct.format!r}, payload, 0)",
-        *prologue,
-        f"    return {body}",
-        "",
-    ]
-    return "\n".join(lines)
-
-
 def _emit_fused(
     plan: EncodePlan,
+    positions: dict[int, int],
     wire_fmt: IOFormat,
     target_fmt: IOFormat,
     prefix: tuple[str, ...],
@@ -312,9 +268,6 @@ def _emit_fused(
     decision — the fused converter must stay value-identical to
     decode-then-project.
     """
-    from repro.pbio.evolution import default_value
-
-    positions = _leaf_positions(plan)
     by_path = {leaf.path: leaf for leaf in plan.leaves}
     wire_fields = {field.name: field for field in wire_fmt.compiled_fields}
     pad = " " * (indent * 4)
@@ -332,20 +285,16 @@ def _emit_fused(
             and wire_field.nested is not None
             and target_field.static_count == wire_field.static_count
         ):
-            if target_field.static_count == 1:
-                value = _emit_fused(
-                    plan, wire_field.nested, target_field.nested, path,
+            count = target_field.static_count
+            elements = [
+                _emit_fused(
+                    plan, positions, wire_field.nested, target_field.nested,
+                    path if count == 1 else path + (str(i),),
                     array_names, used_arrays, indent + 1,
                 )
-            else:
-                elements = [
-                    _emit_fused(
-                        plan, wire_field.nested, target_field.nested,
-                        path + (str(i),), array_names, used_arrays, indent + 1,
-                    )
-                    for i in range(target_field.static_count)
-                ]
-                value = "[" + ", ".join(elements) + "]"
+                for i in range(count)
+            ]
+            value = elements[0] if count == 1 else "[" + ", ".join(elements) + "]"
         elif target_field.nested is not None or wire_field.nested is not None:
             # Shape conflict: same drop-and-default rule as _plan_steps.
             value = repr(default_value(target_field))
@@ -359,35 +308,18 @@ def _emit_fused(
     return "{\n" + "\n".join(entries) + f"\n{pad}}}"
 
 
-def make_fused_converter(
-    wire_format: IOFormat, target_format: IOFormat
-) -> Converter:
-    """Compile the fused decode+project converter for the pair."""
-    source = generate_fused_converter_source(wire_format, target_format)
-    namespace = {"unpack_from": struct.unpack_from, "_str": _read_string}
-    try:
-        code = compile(
-            source,
-            f"<pbio fused converter {wire_format.name} -> {target_format.name}>",
-            "exec",
-        )
-        exec(code, namespace)  # noqa: S102 - this is the DCG mechanism itself
-    except SyntaxError as exc:  # pragma: no cover - generator bug guard
-        raise ConversionError(
-            f"fused converter {wire_format.name!r} -> {target_format.name!r} "
-            f"failed to compile: {exc}\n{source}"
-        ) from exc
-    return namespace["convert"]
-
-
 # -- generated encoder (sender-side DCG) ---------------------------------------
 #
 # PBIO's sender side is a memory copy; the closest Python analogue is a
 # generated function that evaluates every field expression inline and
-# packs the whole fixed region in one call.  Error parity with the
-# plan-based encoder is preserved by falling back to it on unexpected
-# exceptions: the plan re-runs the record and raises its precise
-# EncodeError (or, should it somehow succeed, supplies the result).
+# packs the whole fixed region in one call.  The function raises only
+# EncodeError.  Count and static-length consistency are explicit checks;
+# any other failure is caught once around the body and turned into an
+# EncodeError naming the field.  Error handling adds no statement per
+# field (compiling the encoder is part of every cold bind): the field is
+# found afterwards, from the line the exception left the function at or,
+# when the one fixed-region pack failed, by packing its values leaf by
+# leaf.
 
 
 def _char_byte(value) -> bytes:
@@ -401,6 +333,11 @@ def _char_byte(value) -> bytes:
     raise ConversionError(f"cannot encode {value!r} as a char")
 
 
+def _char_bytes(values) -> bytes:
+    """Helper injected into generated encoders: a dynamic char array."""
+    return b"".join([_char_byte(value) for value in values])
+
+
 def _char_buffer(value, count: int) -> bytes:
     """Helper injected into generated encoders: fixed char buffers."""
     if isinstance(value, str):
@@ -408,6 +345,54 @@ def _char_buffer(value, count: int) -> bytes:
     if isinstance(value, bytes):
         return value[:count]
     raise ConversionError(f"cannot encode {value!r} as a char buffer")
+
+
+class _EncodeFault:
+    """Helper injected into generated encoders: the EncodeError for a failure.
+
+    Holds only what names the encoder; the line-to-field map and the
+    leaf list are rebuilt on the (cold) failure path, so an encoder
+    cached on every bound format retains nothing for its errors.
+    """
+
+    def __init__(self, fmt: IOFormat, function_name: str, into: bool) -> None:
+        self.fmt = fmt
+        self.function_name = function_name
+        self.into = into
+
+    def __call__(self, exc: Exception, values: tuple | None) -> EncodeError:
+        """The error for ``exc``.
+
+        ``values`` is the tuple of fixed-region pack arguments if they were
+        all evaluated (so the pack itself failed), else ``None``.
+        """
+        if values is not None:
+            field, expects = self._leaf_failing(values), None
+        else:
+            _, line_fields = _encoder_lines(self.fmt, self.function_name, self.into)
+            field, expects = line_fields.get(exc.__traceback__.tb_lineno, ("", None))
+        if not field:
+            detail = f"cannot encode record: {exc}"
+        elif isinstance(exc, LookupError):
+            detail = f"record is missing field {field!r}"
+        elif expects and isinstance(exc, (AttributeError, TypeError)):
+            detail = f"field {field!r} expects {expects} ({exc})"
+        else:
+            detail = f"field {field!r}: {exc}"
+        return EncodeError(f"format {self.fmt.name!r}: {detail}")
+
+    def _leaf_failing(self, values: tuple) -> str:
+        plan = get_encode_plan(self.fmt)
+        order = plan.fixed_struct.format[0]
+        start = 0
+        for leaf in plan.leaves:
+            width = _leaf_width(leaf)
+            try:
+                struct.pack(order + leaf.code, *values[start : start + width])
+            except (struct.error, OverflowError):
+                return ".".join(leaf.path)
+            start += width
+        return ""
 
 
 def _path_expr(path: tuple[str, ...]) -> str:
@@ -425,6 +410,23 @@ def _container_get_expr(prefix: tuple[str, ...], name: str) -> str:
     return f"{container}.get({name!r})"
 
 
+def _array_bytes_expr(item, order: str) -> str:
+    """Expression packing the dynamic array ``a`` (``k`` elements)."""
+    if item.element_kind == TypeKind.CHAR:
+        return "_chars(a)"
+    # Booleans and enumerations convert per element, as scalars do.
+    elements = "*a"
+    if item.element_kind == TypeKind.BOOLEAN:
+        elements = "*[1 if x else 0 for x in a]"
+    elif item.element_kind == TypeKind.ENUMERATION:
+        elements = "*map(int, a)"
+    packed = f"pack_arr({order!r} + str(k) + {item.element_code!r}, {elements})"
+    dtype_char = DTYPE_CHARS.get((item.element_kind, item.element_size))
+    if dtype_char is None:
+        return packed
+    return f"_nd(a, {(order + dtype_char)!r}) if hasattr(a, 'dtype') else {packed}"
+
+
 def generate_encoder_source(
     fmt: IOFormat, function_name: str = "encode", *, into: bool = False
 ) -> str:
@@ -435,66 +437,59 @@ def generate_encoder_source(
     ``pack_into`` — the sender-side zero-copy path — instead of
     returning freshly concatenated ``bytes``.
     """
+    return _encoder_lines(fmt, function_name, into)[0]
+
+
+def _encoder_lines(
+    fmt: IOFormat, function_name: str, into: bool
+) -> tuple[str, dict[int, tuple[str, str | None]]]:
+    """The encoder's source, and the field each of its lines encodes."""
     plan = get_encode_plan(fmt)
     order = "<" if fmt.arch.is_little_endian else ">"
+    helpers = "pack_arr=pack_arr, _chr=_chr, _chars=_chars, _buf=_buf, _nd=_nd, len=len"
     if into:
         signature = (
-            f"def {function_name}(record, buffer, offset, "
-            f"pack_into=pack_into, pack_arr=pack_arr, "
-            f"_chr=_chr, _buf=_buf, len=len):"
+            f"def {function_name}(record, buffer, offset, pack_into=pack_into, "
+            f"{helpers}):"
         )
     else:
-        signature = (
-            f"def {function_name}(record, pack=pack, pack_arr=pack_arr, "
-            f"_chr=_chr, _buf=_buf, len=len):"
-        )
-    lines = [
-        signature,
-        "    var = []",
-        f"    cursor = {fmt.record_length}",
-    ]
-    # Variable section, in plan order (byte-exact parity with the plan).
+        signature = f"def {function_name}(record, pack=pack, {helpers}):"
+    lines = [signature, "    values = None", "    try:"]
+    line_fields: dict[int, tuple[str, str | None]] = {}
+
+    def emit(path: tuple[str, ...], block: list[str], expects: str | None = None):
+        field = (".".join(path), expects)
+        for text in block:
+            lines.append("        " + text)
+            line_fields[len(lines)] = field
+
+    emit((), ["var = []", f"cursor = {fmt.record_length}"])
+    # Variable section, in plan order (byte-exact wire layout).
     pointer_names: dict[tuple[str, ...], str] = {}
     for index, item in enumerate(plan.var_items):
         name = f"p{index}"
         pointer_names[item.path] = name
         value = _path_expr(item.path)
         if item.kind == "string":
-            lines += [
-                f"    s = {value}",
-                f"    if s is None:",
-                f"        {name} = 0",
-                f"    else:",
-                f"        d = s.encode('utf-8') + b'\\x00'",
-                f"        pad = (-cursor) & 3",
-                f"        if pad:",
-                f"            var.append(b'\\x00' * pad); cursor += pad",
-                f"        {name} = cursor; var.append(d); cursor += len(d)",
-            ]
+            emit(item.path, [f"s = {value}", "if s is None:", f"    {name} = 0", "else:"])
+            emit(item.path, ["    d = s.encode('utf-8') + b'\\x00'"], "a string")
+            emit(item.path, ["    pad = (-cursor) & 3"])
         else:
-            mask = item.alignment - 1
-            from repro.pbio.types import DTYPE_CHARS
-
-            dtype_char = DTYPE_CHARS.get((item.element_kind, item.element_size))
-            if dtype_char is not None:
-                ndarray_case = (
-                    f"_nd(a, {(order + dtype_char)!r}) if hasattr(a, 'dtype') else "
-                )
-            else:
-                ndarray_case = ""
-            lines += [
-                f"    a = {value}",
-                f"    if a is None or len(a) == 0:",
-                f"        {name} = 0",
-                f"    else:",
-                f"        pad = (-cursor) & {mask}",
-                f"        if pad:",
-                f"            var.append(b'\\x00' * pad); cursor += pad",
-                f"        d = {ndarray_case}pack_arr({order!r} + str(len(a)) + "
-                f"{item.element_code!r}, *a)",
-                f"        {name} = cursor; var.append(d); cursor += len(d)",
-            ]
-    # Count values (+ consistency checks matching the plan's messages).
+            emit(item.path, [f"a = {value}"])
+            emit(item.path, ["k = 0 if a is None else len(a)"], "a sequence")
+            emit(item.path, [
+                "if k == 0:",
+                f"    {name} = 0",
+                "else:",
+                f"    d = {_array_bytes_expr(item, order)}",
+                f"    pad = (-cursor) & {item.alignment - 1}",
+            ])
+        emit(item.path, [
+            "    if pad:",
+            "        var.append(b'\\x00' * pad); cursor += pad",
+            f"    {name} = cursor; var.append(d); cursor += len(d)",
+        ])
+    # Count values (+ consistency checks).
     count_names: dict[tuple[str, ...], str] = {}
     for index, leaf in enumerate(plan.leaves):
         if leaf.role != "count":
@@ -502,243 +497,128 @@ def generate_encoder_source(
         name = f"n{index}"
         count_names[leaf.path] = name
         dotted = ".".join(leaf.path)
-        first = _path_expr(leaf.measures[0])
-        lines.append(f"    _a = {first}")
-        lines.append(f"    {name} = 0 if _a is None else len(_a)")
+        block = [
+            f"_a = {_path_expr(leaf.measures[0])}",
+            f"{name} = 0 if _a is None else len(_a)",
+        ]
         for other in leaf.measures[1:]:
-            lines += [
-                f"    _b = {_path_expr(other)}",
-                f"    if (0 if _b is None else len(_b)) != {name}:",
-                f"        raise EncodeError(\"format {fmt.name!r}: arrays "
+            block += [
+                f"_b = {_path_expr(other)}",
+                f"if (0 if _b is None else len(_b)) != {name}:",
+                f"    raise EncodeError(\"format {fmt.name!r}: arrays "
                 f"sharing count field '{dotted}' have differing lengths\")",
             ]
-        lines += [
-            f"    _e = {_container_get_expr(leaf.path[:-1], leaf.path[-1])}",
-            f"    if _e is not None and _e != {name}:",
-            f"        raise EncodeError(\"format {fmt.name!r}: count field "
+        block += [
+            f"_e = {_container_get_expr(leaf.path[:-1], leaf.path[-1])}",
+            f"if _e is not None and _e != {name}:",
+            f"    raise EncodeError(\"format {fmt.name!r}: count field "
             f"'{dotted}' is %r but the array has %d elements\" % (_e, {name}))",
         ]
-    # Static array length checks + pack arguments.
-    args: list[str] = []
+        emit(leaf.path, block)
+    # The fixed region: static array length checks, then one pack.
+    args: list[tuple[tuple[str, ...], str]] = []
     for index, leaf in enumerate(plan.leaves):
         value = _path_expr(leaf.path)
         if leaf.role in ("string_ptr", "dyn_ptr"):
-            args.append(pointer_names[leaf.path])
+            arg = pointer_names[leaf.path]
         elif leaf.role == "count":
-            args.append(count_names[leaf.path])
+            arg = count_names[leaf.path]
         elif leaf.role == "char":
-            args.append(f"_chr({value})")
+            arg = f"_chr({value})"
         elif leaf.role == "bool":
-            args.append(f"(1 if {value} else 0)")
+            arg = f"(1 if {value} else 0)"
         elif leaf.role == "chararray":
-            args.append(f"_buf({value}, {leaf.count})")
+            arg = f"_buf({value}, {leaf.count})"
         elif leaf.role == "array":
-            name = f"arr{index}"
-            dotted = ".".join(leaf.path)
-            lines += [
-                f"    {name} = {value}",
-                f"    if len({name}) != {leaf.count}:",
-                f"        raise EncodeError(\"format {fmt.name!r}: field "
-                f"'{dotted}' expects exactly {leaf.count} elements, "
-                f"got %d\" % len({name}))",
-            ]
-            args.append(f"*{name}")
+            arg = f"*arr{index}"
+            emit(leaf.path, [f"arr{index} = {value}"])
+            emit(leaf.path, [f"if len(arr{index}) != {leaf.count}:"], "a sequence")
+            emit(leaf.path, [
+                f"    raise EncodeError(\"format {fmt.name!r}: field "
+                f"'{'.'.join(leaf.path)}' expects exactly {leaf.count} elements, "
+                f"got %d\" % len(arr{index}))",
+            ])
         else:
-            args.append(value)
-    joined = ",\n        ".join(args)
+            arg = value
+        args.append((leaf.path, arg))
     if into:
-        lines += [
-            "    if len(buffer) - offset < cursor:",
-            f"        _e = EncodeError(\"format {fmt.name!r}: buffer has "
+        emit((), [
+            "if len(buffer) - offset < cursor:",
+            f"    _e = EncodeError(\"format {fmt.name!r}: buffer has "
             f"%d bytes free, payload needs %d\""
             f" % (len(buffer) - offset, cursor))",
-            "        _e.needed = cursor",
-            "        raise _e",
-            f"    pack_into(\n        buffer, offset,\n        {joined},\n    )",
-            f"    pos = offset + {fmt.record_length}",
+            "    _e.needed = cursor",
+            "    raise _e",
+        ])
+    # The pack arguments are one tuple, one element per line: a failing
+    # lookup is found by its line; a value the pack rejects, by ``_fault``
+    # packing the tuple leaf by leaf.
+    emit((), ["values = ("])
+    for path, arg in args:
+        emit(path, [f"    {arg},"])
+    emit((), [")"])
+    if into:
+        emit((), [
+            "pack_into(buffer, offset, *values)",
+            f"pos = offset + {fmt.record_length}",
             # Write var parts through a memoryview: bytearray slice
             # assignment materializes a temporary copy of the source,
             # a view assignment is a straight memcpy.
-            "    mv = memoryview(buffer)",
-            "    for d in var:",
-            "        _n = len(d)",
-            "        mv[pos:pos + _n] = d",
-            "        pos += _n",
-            "    return cursor",
-        ]
+            "mv = memoryview(buffer)",
+            "for d in var:",
+            "    _n = len(d)",
+            "    mv[pos:pos + _n] = d",
+            "    pos += _n",
+            "return cursor",
+        ])
     else:
-        lines.append(f"    return pack(\n        {joined},\n    ) + b''.join(var)")
-    return "\n".join(lines) + "\n"
+        emit((), ["return pack(*values) + b''.join(var)"])
+    lines += [
+        "    except EncodeError:",
+        "        raise",
+        "    except Exception as exc:",
+        "        raise _fault(exc, values) from exc",
+    ]
+    return "\n".join(lines) + "\n", line_fields
 
 
-def make_generated_encoder(fmt: IOFormat):
-    """Compile a specialized encoder; falls back to the plan on errors."""
+def _compile_encoder(fmt: IOFormat, function_name: str, into: bool):
     plan = get_encode_plan(fmt)
-    source = generate_encoder_source(fmt)
-    from repro.errors import EncodeError
-    from repro.pbio.encode import ndarray_wire_bytes
-
+    source = generate_encoder_source(fmt, function_name, into=into)
     namespace = {
         "pack": plan.fixed_struct.pack,
-        "pack_arr": struct.pack,
-        "_chr": _char_byte,
-        "_buf": _char_buffer,
-        "_nd": ndarray_wire_bytes,
-        "EncodeError": EncodeError,
-    }
-    try:
-        exec(compile(source, f"<pbio encoder for {fmt.name}>", "exec"), namespace)
-    except SyntaxError as exc:  # pragma: no cover - generator bug guard
-        raise ConversionError(
-            f"generated encoder for {fmt.name!r} failed to compile: "
-            f"{exc}\n{source}"
-        ) from exc
-    fast = namespace["encode"]
-    encode_error = namespace["EncodeError"]
-
-    def encode(record: dict) -> bytes:
-        try:
-            return fast(record)
-        except encode_error:
-            raise
-        except Exception:
-            # Re-run through the plan for a precise diagnostic (or, in
-            # the unexpected case the plan succeeds, its result).
-            return plan.encode(record)
-
-    return encode
-
-
-def make_generated_encoder_into(fmt: IOFormat):
-    """Compile the in-place encoder; falls back to the plan on errors.
-
-    Same contract as :meth:`EncodePlan.encode_into` (byte-identical
-    output, capacity :class:`EncodeError` with ``.needed`` raised before
-    anything is written), but with every field expression inlined so the
-    steady-state sender pays no plan-walking allocations.
-    """
-    plan = get_encode_plan(fmt)
-    source = generate_encoder_source(fmt, "encode_into", into=True)
-    from repro.errors import EncodeError
-    from repro.pbio.encode import ndarray_wire_bytes
-
-    namespace = {
         "pack_into": plan.fixed_struct.pack_into,
         "pack_arr": struct.pack,
         "_chr": _char_byte,
+        "_chars": _char_bytes,
         "_buf": _char_buffer,
         "_nd": ndarray_wire_bytes,
+        "_fault": _EncodeFault(fmt, function_name, into),
         "EncodeError": EncodeError,
     }
     try:
-        exec(
-            compile(source, f"<pbio encode_into for {fmt.name}>", "exec"),
-            namespace,
-        )
+        code = compile(source, f"<pbio {function_name} for {fmt.name}>", "exec")
+        exec(code, namespace)  # noqa: S102 - this is the DCG mechanism itself
     except SyntaxError as exc:  # pragma: no cover - generator bug guard
         raise ConversionError(
-            f"generated encode_into for {fmt.name!r} failed to compile: "
+            f"generated {function_name} for {fmt.name!r} failed to compile: "
             f"{exc}\n{source}"
         ) from exc
-    fast = namespace["encode_into"]
-    encode_error = namespace["EncodeError"]
-
-    def encode_into(record: dict, buffer, offset: int = 0) -> int:
-        try:
-            return fast(record, buffer, offset)
-        except encode_error:
-            raise
-        except Exception:
-            # Re-run through the plan for a precise diagnostic (or, in
-            # the unexpected case the plan succeeds, its result).
-            return plan.encode_into(record, buffer, offset)
-
-    return encode_into
+    return namespace[function_name]
 
 
-# -- interpreted converter (ablation baseline) --------------------------------
+def make_generated_encoder(fmt: IOFormat):
+    """Compile the specialized encoder: ``encode(record) -> bytes``."""
+    return _compile_encoder(fmt, "encode", into=False)
 
 
-def make_interpreted_converter(wire_format: IOFormat) -> Converter:
-    """A converter that walks the format metadata for every record.
+def make_generated_encoder_into(fmt: IOFormat):
+    """Compile the in-place encoder: ``encode_into(record, buffer, offset)``.
 
-    Semantically identical to the generated converter; exists to measure
-    what dynamic code generation buys (experiment A1).  It still uses the
-    precompiled plan's leaf list, but performs per-leaf unpacking,
-    dictionary assembly and dispatch at run time for every record.
+    Byte-identical output to :func:`make_generated_encoder`'s, written
+    with ``pack_into`` at ``offset``; returns the payload length.  A
+    buffer too small for the payload raises
+    :class:`~repro.errors.EncodeError` with the required size as
+    ``.needed``, before anything is written.
     """
-    plan = get_encode_plan(wire_format)
-    order = "<" if wire_format.arch.is_little_endian else ">"
-    positions = _leaf_positions(plan)
-    unpack_from = struct.unpack_from
-
-    def convert(payload: bytes) -> dict:
-        flat: dict[tuple[str, ...], object] = {}
-        for leaf in plan.leaves:
-            offset = leaf.offset
-            if leaf.role in ("scalar", "count", "string_ptr", "dyn_ptr"):
-                (value,) = unpack_from(order + leaf.code, payload, offset)
-            elif leaf.role == "char":
-                (raw,) = unpack_from(order + leaf.code, payload, offset)
-                value = raw.decode("latin-1")
-            elif leaf.role == "bool":
-                (raw,) = unpack_from(order + leaf.code, payload, offset)
-                value = bool(raw)
-            elif leaf.role == "chararray":
-                (raw,) = unpack_from(order + leaf.code, payload, offset)
-                value = raw.split(b"\x00", 1)[0].decode("utf-8")
-            else:  # static array
-                value = list(unpack_from(order + leaf.code, payload, offset))
-            flat[leaf.path] = value
-        counts = _count_leaf_positions(plan)
-        result: dict[tuple[str, ...], object] = {}
-        for item in plan.var_items:
-            pointer = flat[item.path]
-            if item.kind == "string":
-                flat[item.path] = _read_string(payload, pointer)
-            else:
-                if pointer:
-                    count_leaf_position = counts[item.path]
-                    count = _value_at_position(plan, flat, count_leaf_position)
-                    flat[item.path] = list(
-                        unpack_from(
-                            f"{order}{count}{item.element_code}", payload, pointer
-                        )
-                    )
-                else:
-                    flat[item.path] = []
-        return _assemble(plan, wire_format, (), flat)
-
-    return convert
-
-
-def _value_at_position(plan: EncodePlan, flat: dict, position: int):
-    cursor = 0
-    for leaf in plan.leaves:
-        if cursor == position:
-            return flat[leaf.path]
-        cursor += _leaf_width(leaf)
-    raise ConversionError(f"no leaf at unpack position {position}")
-
-
-def _assemble(
-    plan: EncodePlan, fmt: IOFormat, prefix: tuple[str, ...], flat: dict
-) -> dict:
-    record: dict = {}
-    for field in fmt.compiled_fields:
-        path = prefix + (field.name,)
-        if field.nested is not None:
-            if field.static_count == 1:
-                record[field.name] = _assemble(plan, field.nested, path, flat)
-            else:
-                record[field.name] = [
-                    _assemble(plan, field.nested, path + (str(i),), flat)
-                    for i in range(field.static_count)
-                ]
-        elif field.is_string and field.static_count > 1:
-            record[field.name] = [
-                flat[path + (str(i),)] for i in range(field.static_count)
-            ]
-        else:
-            record[field.name] = flat[path]
-    return record
+    return _compile_encoder(fmt, "encode_into", into=True)

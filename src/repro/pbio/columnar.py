@@ -29,9 +29,9 @@ Nested formats have no columnar representation (their fields would need
 recursive column splitting); :func:`get_columnar_plan` rejects them with
 a typed :class:`~repro.errors.EncodeError`.
 
-numpy is an optional acceleration throughout: every path has a
-pure-Python fallback producing byte-identical output (property-tested in
-``tests/property/test_columnar_properties.py``).
+numpy is an optional acceleration throughout: the codec uses it when it
+imports, and otherwise a pure-Python path producing byte-identical
+output (property-tested in ``tests/property/test_columnar_properties.py``).
 """
 
 from __future__ import annotations
@@ -66,20 +66,11 @@ _EXTRA_CHARS: dict[tuple[TypeKind, int], str] = {
 
 
 def _numpy_or_none():
+    """numpy if it imports, else ``None`` (the pure-Python path)."""
     try:
         import numpy
     except ImportError:
         return None
-    return numpy
-
-
-def _resolve_numpy(use_numpy, error_cls):
-    """Tri-state numpy selection: None = auto, True = require, False = off."""
-    if use_numpy is False:
-        return None
-    numpy = _numpy_or_none()
-    if use_numpy is True and numpy is None:
-        raise error_cls("use_numpy=True requires numpy, which is not installed")
     return numpy
 
 
@@ -264,7 +255,7 @@ class ColumnarPlan:
 
     # -- encoding -----------------------------------------------------------
 
-    def encode_parts(self, records, *, use_numpy=None) -> list[bytes]:
+    def encode_parts(self, records) -> list[bytes]:
         """Render a batch payload as a list of buffer parts.
 
         The parts concatenate to the full payload; returning them
@@ -279,7 +270,7 @@ class ColumnarPlan:
             raise EncodeError(
                 f"format {fmt_name!r}: a columnar batch needs at least one record"
             )
-        numpy = _resolve_numpy(use_numpy, EncodeError)
+        numpy = _numpy_or_none()
         starts, fixed_end = self.layout(count)
 
         # Pass 1: derive (and cross-check) dynamic-array counts per row.
@@ -324,9 +315,9 @@ class ColumnarPlan:
         parts.extend(heap_parts)
         return parts
 
-    def encode(self, records, *, use_numpy=None) -> bytes:
+    def encode(self, records) -> bytes:
         """The batch payload as one bytes object (joins the parts)."""
-        return b"".join(self.encode_parts(records, use_numpy=use_numpy))
+        return b"".join(self.encode_parts(records))
 
     def _field_value(self, record: dict, name: str, row: int):
         try:
@@ -709,14 +700,14 @@ class ColumnarPlan:
             )
         return count, heap_off, starts
 
-    def decode_records(self, payload, *, use_numpy=None) -> list[dict]:
+    def decode_records(self, payload) -> list[dict]:
         """Decode a batch payload back to N record dicts.
 
         Value representation matches the per-record converters field for
         field: NULL strings decode to ``None``, empty dynamic arrays to
         ``[]``, chars to 1-character strings, booleans to ``bool``.
         """
-        numpy = _resolve_numpy(use_numpy, DecodeError)
+        numpy = _numpy_or_none()
         count, heap_off, starts = self.parse_prelude(payload)
         columns: dict[str, list] = {}
         raw_counts: dict[str, tuple] = {}
@@ -923,14 +914,14 @@ def get_columnar_plan(fmt: IOFormat) -> ColumnarPlan:
     return plan
 
 
-def encode_batch_payload(fmt: IOFormat, records, *, use_numpy=None) -> bytes:
+def encode_batch_payload(fmt: IOFormat, records) -> bytes:
     """The columnar batch payload (no message header) for ``records``."""
-    return get_columnar_plan(fmt).encode(records, use_numpy=use_numpy)
+    return get_columnar_plan(fmt).encode(records)
 
 
-def decode_batch_payload(fmt: IOFormat, payload, *, use_numpy=None) -> list[dict]:
+def decode_batch_payload(fmt: IOFormat, payload) -> list[dict]:
     """Decode a columnar batch payload against the wire format ``fmt``."""
-    return get_columnar_plan(fmt).decode_records(payload, use_numpy=use_numpy)
+    return get_columnar_plan(fmt).decode_records(payload)
 
 
 class ColumnBatchView:
@@ -946,12 +937,11 @@ class ColumnBatchView:
     out (PROTOCOL §12 ownership rules apply to batch frames too).
     """
 
-    def __init__(self, fmt: IOFormat, payload, *, use_numpy=None) -> None:
+    def __init__(self, fmt: IOFormat, payload) -> None:
         self.format = fmt
         self.plan = get_columnar_plan(fmt)
         self._payload = payload
-        self._use_numpy = use_numpy
-        self._numpy = None if use_numpy is False else _numpy_or_none()
+        self._numpy = _numpy_or_none()
         count, heap_off, starts = self.plan.parse_prelude(payload)
         self._count = count
         self._heap_off = heap_off
@@ -962,14 +952,7 @@ class ColumnBatchView:
         """numpy, or the typed error column access raises without it."""
         numpy = self._numpy
         if numpy is None:
-            if self._use_numpy is False:
-                raise DecodeError(
-                    "column access needs numpy, but the view was created "
-                    "with use_numpy=False"
-                )
-            raise DecodeError(
-                "use_numpy=True requires numpy, which is not installed"
-            )
+            raise DecodeError("column access needs numpy, which is not installed")
         return numpy
 
     def __len__(self) -> int:
@@ -1080,9 +1063,7 @@ class ColumnBatchView:
     def materialize(self) -> list[dict]:
         """All records, decoded once and cached on the view."""
         if self._records is None:
-            self._records = self.plan.decode_records(
-                self._payload, use_numpy=self._use_numpy
-            )
+            self._records = self.plan.decode_records(self._payload)
         return self._records
 
     def __iter__(self):

@@ -36,7 +36,11 @@ from repro.arch.registry import NATIVE
 from repro.errors import DecodeError, FormatRegistrationError
 from repro.obs import metrics as _metrics
 from repro.obs.instr import SAMPLE_MASK, pbio_handles
-from repro.pbio.decode import DEFAULT_CONVERTER_CAPACITY, ConverterCache
+from repro.pbio.decode import (
+    CORRUPT_PAYLOAD,
+    DEFAULT_CONVERTER_CAPACITY,
+    ConverterCache,
+)
 from repro.pbio.encode import encode_record, get_generated_encode_into
 from repro.pbio.field import IOField
 from repro.pbio.fmserver import FormatServer
@@ -114,11 +118,6 @@ class IOContext:
     converter_capacity:
         LRU bound of the private converter cache (ignored when
         ``converter_cache`` is given).
-    use_fused:
-        Tri-state switch for the fused decode+project converter on
-        evolved records (``None`` = fuse with fallback, ``True`` =
-        force, ``False`` = two-step path).  Ignored when
-        ``converter_cache`` is given.
     lineage:
         Optional :class:`~repro.pbio.evolution.FormatLineage`; every
         format this context registers or learns is recorded there,
@@ -132,7 +131,6 @@ class IOContext:
         format_server: FormatServer | None = None,
         converter_cache: ConverterCache | None = None,
         converter_capacity: int = DEFAULT_CONVERTER_CAPACITY,
-        use_fused: bool | None = None,
         lineage=None,
     ) -> None:
         self.arch = arch
@@ -142,7 +140,7 @@ class IOContext:
         self._converters = (
             converter_cache
             if converter_cache is not None
-            else ConverterCache(converter_capacity, use_fused=use_fused)
+            else ConverterCache(converter_capacity)
         )
         self._format_server = format_server
         self.lineage = lineage
@@ -283,23 +281,19 @@ class IOContext:
         )
         return HEADER_SIZE + length
 
-    def encode_batch(
-        self, fmt: IOFormat | str, records, *, use_numpy=None
-    ) -> bytes:
+    def encode_batch(self, fmt: IOFormat | str, records) -> bytes:
         """Encode ``records`` as one framed columnar batch message.
 
         The batch rides a ``KIND_BATCH`` message whose body is the
         columnar payload of PROTOCOL §14; per-record data messages are
-        untouched.  ``use_numpy`` forces the vectorized (``True``) or
-        pure-Python (``False``) encoder; the default auto-detects.
-        Raises :class:`~repro.errors.EncodeError` for empty batches and
-        for formats with nested fields (no columnar representation).
+        untouched.  The columns pack with numpy when it is installed and
+        in pure Python otherwise, byte-identically.  Raises
+        :class:`~repro.errors.EncodeError` for empty batches and for
+        formats with nested fields (no columnar representation).
         """
-        return b"".join(self.encode_batch_iov(fmt, records, use_numpy=use_numpy))
+        return b"".join(self.encode_batch_iov(fmt, records))
 
-    def encode_batch_iov(
-        self, fmt: IOFormat | str, records, *, use_numpy=None
-    ) -> list:
+    def encode_batch_iov(self, fmt: IOFormat | str, records) -> list:
         """:meth:`encode_batch` as a list of buffer parts (header first).
 
         Hand the parts to a scatter-gather sender
@@ -310,7 +304,7 @@ class IOContext:
 
         if isinstance(fmt, str):
             fmt = self.lookup_format(fmt)
-        parts = get_columnar_plan(fmt).encode_parts(records, use_numpy=use_numpy)
+        parts = get_columnar_plan(fmt).encode_parts(records)
         length = sum(len(part) for part in parts)
         header = HEADER.pack(
             KIND_BATCH, PROTOCOL_VERSION, 0, length, fmt.format_id
@@ -318,7 +312,7 @@ class IOContext:
         self._batch_observe("encode", len(records))
         return [header, *parts]
 
-    def decode_batch(self, message, *, use_numpy=None) -> DecodedBatch:
+    def decode_batch(self, message) -> DecodedBatch:
         """Decode a framed batch message to a :class:`DecodedBatch`.
 
         Records come back in the wire format's own shape, with the same
@@ -328,9 +322,7 @@ class IOContext:
         from repro.pbio.columnar import get_columnar_plan
 
         wire_format, payload = self._batch_payload(message)
-        records = get_columnar_plan(wire_format).decode_records(
-            payload, use_numpy=use_numpy
-        )
+        records = get_columnar_plan(wire_format).decode_records(payload)
         self._batch_observe("decode", len(records))
         return DecodedBatch(
             format_name=wire_format.name,
@@ -338,7 +330,7 @@ class IOContext:
             wire_format=wire_format,
         )
 
-    def decode_batch_view(self, message, *, use_numpy=None):
+    def decode_batch_view(self, message):
         """Decode a batch message as a lazy zero-copy column view.
 
         Returns a :class:`~repro.pbio.columnar.ColumnBatchView` whose
@@ -349,7 +341,7 @@ class IOContext:
         from repro.pbio.columnar import ColumnBatchView
 
         wire_format, payload = self._batch_payload(message)
-        return ColumnBatchView(wire_format, payload, use_numpy=use_numpy)
+        return ColumnBatchView(wire_format, payload)
 
     def _batch_payload(self, message):
         """Split a batch message into (wire format, payload view)."""
@@ -397,14 +389,15 @@ class IOContext:
         message: bytes,
         *,
         expect: str | None = None,
-        mode: str = "generated",
     ) -> DecodedRecord:
         """Decode a framed data message.
 
         ``expect`` names a locally registered format to project the
         record onto (format-evolution tolerance); by default the record
-        is returned in the wire format's own shape.  ``mode`` selects the
-        converter implementation (``"generated"`` or ``"interpreted"``).
+        is returned in the wire format's own shape.  Raises
+        :class:`~repro.errors.DecodeError` for a corrupt message and
+        :class:`~repro.errors.ConversionError` if the pair's converter
+        cannot be generated.
         """
         kind, version, _, length, format_id = self.parse_header(message)
         if kind != KIND_DATA:
@@ -421,7 +414,7 @@ class IOContext:
             )
         wire_format = self.wire_format(format_id)
         target = self.lookup_format(expect) if expect is not None else None
-        converter = self._converters.lookup(wire_format, target, mode)
+        converter = self._converters.lookup(wire_format, target)
         # Direct global read; get_registry()'s call overhead is real on
         # this path (see the obs overhead benchmark).
         registry = _metrics._default_registry
@@ -437,7 +430,7 @@ class IOContext:
         try:
             # Converters consume memoryviews directly — no bytes() round-trip.
             values = converter(payload)
-        except (IndexError, ValueError, struct.error) as exc:
+        except CORRUPT_PAYLOAD as exc:
             raise DecodeError(
                 f"corrupt payload for format {wire_format.name!r}: {exc}"
             ) from exc

@@ -1,21 +1,22 @@
 """Decoding NDR payloads: converter selection and bounded caching.
 
 Decoding is driven entirely by the *wire* format's metadata (which
-arrived once, out-of-band or in-band); the receiver picks a converter:
+arrived once, out-of-band or in-band).  Each (wire format, native
+format) pair gets exactly one converter, generated on first use by
+:mod:`~repro.pbio.codegen` — PBIO's "custom routines created
+on-the-fly":
 
-- **generated** (default): the dynamically generated routine from
-  :mod:`~repro.pbio.codegen`, built on first use per wire format and
-  cached — PBIO's "custom routines created on-the-fly";
-- **interpreted**: the per-record metadata-walking fallback, kept for
-  the A1 ablation and as an executable specification of the wire format.
+- when the record is wanted in the wire format's own shape, the
+  **generated** converter;
+- when the receiver's *native* format differs (format evolution: the
+  sender added or removed fields), the **fused** decode+project
+  converter, which decodes the wire record straight into the native
+  shape with no intermediate wire-shaped dict.
 
-If the receiver's *native* format differs from the wire format (format
-evolution: the sender added or removed fields), the generated path
-compiles a **fused** decode+project converter — the wire record decodes
-straight into the receiver's native shape with no intermediate
-wire-shaped dict — while the interpreted path composes the interpreted
-converter with the interpreted projection (the executable
-specification the fused routine must match).
+A failure to generate either is a typed
+:class:`~repro.errors.ConversionError`; there is no slower path to fall
+back to.  The interpreted converter and projection these routines are
+tested against live in :mod:`repro.pbio.oracle`.
 
 The cache is *instance-based* (PROTOCOL §16): converters are compiled
 only for the (wire format id, native format id) pairs traffic actually
@@ -23,26 +24,30 @@ presents, and a bounded, thread-safe LRU (:class:`~repro.pbio.lru.BoundedLRU`)
 guarantees that pairs traffic no longer touches cannot hold compiled
 code forever.  Content-addressed format ids make the entries survive
 re-registration of identical metadata for free.
+
+A corrupt payload makes a converter raise one of :data:`CORRUPT_PAYLOAD`;
+every decode entry point turns those into
+:class:`~repro.errors.DecodeError`.
 """
 
 from __future__ import annotations
 
+import struct
 from typing import Callable
 
-from repro.errors import DecodeError
+from repro.errors import ConversionError, DecodeError
 from repro.obs.metrics import get_registry
-from repro.pbio.codegen import (
-    make_fused_converter,
-    make_generated_converter,
-    make_interpreted_converter,
-)
-from repro.pbio.evolution import make_interpreted_projection
+from repro.pbio.codegen import make_fused_converter, make_generated_converter
 from repro.pbio.format import IOFormat
 from repro.pbio.lru import BoundedLRU
 
 Converter = Callable[[bytes], dict]
 
-_MODES = ("generated", "interpreted")
+#: What reading a corrupt payload raises: bad offsets and counts
+#: (``IndexError``, ``struct.error``), pointers too large for an index
+#: (``OverflowError``), unterminated or invalid UTF-8 strings
+#: (``ValueError``, including ``UnicodeDecodeError``).
+CORRUPT_PAYLOAD = (IndexError, ValueError, OverflowError, struct.error)
 
 #: Default bound on live converters per cache.  Each entry is one
 #: compiled function (a few KB); 1024 pairs comfortably covers a server
@@ -51,19 +56,12 @@ DEFAULT_CONVERTER_CAPACITY = 1024
 
 
 class ConverterCache:
-    """Bounded cache of converters keyed by (wire id, target id, mode).
+    """Bounded cache of converters keyed by (wire id, target id).
 
     One instance lives in each :class:`~repro.pbio.context.IOContext`
     by default; sharing one cache across contexts is safe (converters
     are pure functions) and supported — pass the same instance to
     several contexts to share compiled pairs across connections.
-
-    ``use_fused`` is the tri-state codegen switch for the evolved-record
-    path: ``None`` (default) fuses decode+project in generated mode and
-    falls back to compose-then-project if fusion fails, counting each
-    fallback as ``pbio_codegen_total{kind="fused",event="fallback"}``;
-    ``True`` forces fusion (errors propagate); ``False`` keeps the
-    two-step path.
     """
 
     def __init__(
@@ -71,10 +69,8 @@ class ConverterCache:
         capacity: int = DEFAULT_CONVERTER_CAPACITY,
         *,
         name: str = "converter",
-        use_fused: bool | None = None,
     ) -> None:
         self._converters: BoundedLRU = BoundedLRU(capacity, name=name)
-        self.use_fused = use_fused
         self.builds = 0  # observable for amortization experiments
 
     @property
@@ -105,55 +101,40 @@ class ConverterCache:
                 self._converters.pop(key)
 
     def lookup(
-        self,
-        wire_format: IOFormat,
-        target_format: IOFormat | None = None,
-        mode: str = "generated",
+        self, wire_format: IOFormat, target_format: IOFormat | None = None
     ) -> Converter:
-        """Return a converter, building and caching it on first miss."""
-        if mode not in _MODES:
-            raise DecodeError(f"unknown conversion mode {mode!r}; use one of {_MODES}")
+        """Return a converter, building and caching it on first miss.
+
+        Raises :class:`~repro.errors.ConversionError` if the converter
+        cannot be generated.
+        """
         key = (
             wire_format.format_id,
             target_format.format_id if target_format is not None else None,
-            mode,
         )
         converter = self._converters.get(key)
         if converter is not None:
             return converter
         _count_codegen("converter", "miss")
-        converter = self._build(wire_format, target_format, mode)
+        converter = _build(wire_format, target_format)
         self._converters.put(key, converter)
         self.builds += 1
         return converter
 
-    def _build(
-        self, wire_format: IOFormat, target_format: IOFormat | None, mode: str
-    ) -> Converter:
-        needs_projection = (
-            target_format is not None
-            and target_format.format_id != wire_format.format_id
-        )
-        if mode == "generated":
-            if needs_projection and self.use_fused is not False:
-                try:
-                    return make_fused_converter(wire_format, target_format)
-                except Exception:
-                    if self.use_fused:
-                        raise
-                    # fall through to the two-step composed path
-                    _count_codegen("fused", "fallback")
-            base = make_generated_converter(wire_format)
-        else:
-            base = make_interpreted_converter(wire_format)
-        if not needs_projection:
-            return base
-        project = make_interpreted_projection(wire_format, target_format)
 
-        def convert_and_project(payload: bytes) -> dict:
-            return project(base(payload))
-
-        return convert_and_project
+def _build(wire_format: IOFormat, target_format: IOFormat | None) -> Converter:
+    try:
+        if target_format is None or target_format.format_id == wire_format.format_id:
+            return make_generated_converter(wire_format)
+        return make_fused_converter(wire_format, target_format)
+    except ConversionError:
+        raise
+    except Exception as exc:
+        target = wire_format if target_format is None else target_format
+        raise ConversionError(
+            f"cannot generate a converter {wire_format.name!r} -> "
+            f"{target.name!r}: {exc}"
+        ) from exc
 
 
 def _count_codegen(kind: str, event: str) -> None:
@@ -170,7 +151,6 @@ def decode_payload(
     payload: bytes,
     *,
     target_format: IOFormat | None = None,
-    mode: str = "generated",
     cache: ConverterCache | None = None,
 ) -> dict:
     """Decode one NDR payload.
@@ -186,12 +166,12 @@ def decode_payload(
             f"{wire_format.name!r}"
         )
     owner = cache if cache is not None else ConverterCache()
-    converter = owner.lookup(wire_format, target_format, mode)
+    converter = owner.lookup(wire_format, target_format)
     try:
         # Converters accept any buffer (bytes/bytearray/memoryview) —
         # views from the zero-copy receive path pass through uncopied.
         return converter(payload)
-    except (IndexError, ValueError) as exc:
+    except CORRUPT_PAYLOAD as exc:
         raise DecodeError(
             f"corrupt payload for format {wire_format.name!r}: {exc}"
         ) from exc

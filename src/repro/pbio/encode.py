@@ -18,10 +18,13 @@ payload can be used in place.
 Encoding is driven by a precompiled :class:`EncodePlan`: one
 :class:`struct.Struct` whose format string covers the entire fixed region
 (pad bytes standing in for compiler padding), plus an ordered list of
-variable-section items.  Compiling the plan once per format and packing
-the whole base record in a single call is the sender-side analogue of
-PBIO's "move data directly out of memory" — per-field interpretation is
-paid at format registration, not per message.
+variable-section items.  The plan is layout only; the encoder itself is
+generated from it (:mod:`repro.pbio.codegen`) on a format's first encode
+and packs the whole base record in a single call — the sender-side
+analogue of PBIO's "move data directly out of memory", with per-field
+interpretation paid once per format, not per message.  The interpreted,
+record-walking encoder lives in :mod:`repro.pbio.oracle` as the
+reference the generated one is tested against.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from repro.errors import EncodeError
 from repro.obs import metrics as _metrics
 from repro.obs.instr import SAMPLE_MASK, pbio_handles
 from repro.obs.metrics import get_registry
-from repro.pbio.format import CompiledField, IOFormat
+from repro.pbio.format import IOFormat
 
 
 def _align_up(value: int, alignment: int) -> int:
@@ -110,16 +113,18 @@ class _VarItem:
     element_size: int = 0
     element_kind: TypeKind | None = None
     alignment: int = 4
-    # static arrays of strings produce one _VarItem per element:
-    element_index: int | None = None
 
 
 class EncodePlan:
-    """A compiled encoder for one :class:`IOFormat`.
+    """The compiled wire layout of one :class:`IOFormat`.
 
-    Plans are cached on the format instance by :func:`get_encode_plan`;
-    building one walks the format tree once and is part of the
-    registration cost the paper's Table 1 measures.
+    ``leaves`` are the base-record slots in offset order, ``var_items``
+    the variable-section items in encode order, and ``fixed_struct`` the
+    one :class:`struct.Struct` covering the base record; the generated
+    codecs and the columnar plan are built from them.  Plans are cached
+    on the format instance by :func:`get_encode_plan`; building one walks
+    the format tree once and is part of the registration cost the
+    paper's Table 1 measures.
     """
 
     def __init__(self, fmt: IOFormat) -> None:
@@ -261,252 +266,6 @@ class EncodePlan:
             parts.append(f"{self.format.record_length - cursor}x")
         return "".join(parts)
 
-    # -- encoding -------------------------------------------------------------
-
-    def encode(self, record: dict) -> bytes:
-        """Encode ``record`` to an NDR payload.
-
-        Raises :class:`~repro.errors.EncodeError` for missing fields,
-        type mismatches, or count-field inconsistencies.
-        """
-        pointer_values: dict[tuple[str, ...], int] = {}
-        var_parts: list[bytes] = []
-        cursor = self.format.record_length
-        for item in self.var_items:
-            data, is_null = self._render_var_item(item, record)
-            if is_null:
-                pointer_values[item.path] = 0
-                continue
-            aligned = _align_up(cursor, item.alignment)
-            if aligned != cursor:
-                var_parts.append(b"\x00" * (aligned - cursor))
-                cursor = aligned
-            pointer_values[item.path] = cursor
-            var_parts.append(data)
-            cursor += len(data)
-        values = [
-            self._leaf_value(leaf, record, pointer_values) for leaf in self.leaves
-        ]
-        try:
-            fixed = self.fixed_struct.pack(*[v for vs in values for v in vs])
-        except struct.error as exc:
-            raise EncodeError(
-                f"format {self.format.name!r}: cannot pack record: {exc}"
-            ) from exc
-        return fixed + b"".join(var_parts)
-
-    def encode_into(self, record: dict, buffer, offset: int = 0) -> int:
-        """Encode ``record`` into ``buffer`` at ``offset``; returns length.
-
-        Byte-identical output to :meth:`encode`, written in place with
-        ``pack_into`` on a caller-supplied writable buffer (typically a
-        pooled ``bytearray`` — see :mod:`repro.wire.bufpool`), so the
-        steady-state sender allocates no payload bytes.
-
-        If the buffer cannot hold the payload an
-        :class:`~repro.errors.EncodeError` is raised *before anything is
-        written*, carrying the required size as its ``needed`` attribute
-        so callers can re-acquire and retry.
-        """
-        pointer_values: dict[tuple[str, ...], int] = {}
-        var_parts: list[bytes] = []
-        cursor = self.format.record_length
-        for item in self.var_items:
-            data, is_null = self._render_var_item(item, record)
-            if is_null:
-                pointer_values[item.path] = 0
-                continue
-            aligned = _align_up(cursor, item.alignment)
-            if aligned != cursor:
-                var_parts.append(b"\x00" * (aligned - cursor))
-                cursor = aligned
-            pointer_values[item.path] = cursor
-            var_parts.append(data)
-            cursor += len(data)
-        total = cursor
-        if len(buffer) - offset < total:
-            error = EncodeError(
-                f"format {self.format.name!r}: buffer has "
-                f"{len(buffer) - offset} bytes free, payload needs {total}"
-            )
-            error.needed = total  # type: ignore[attr-defined]
-            raise error
-        values = [
-            self._leaf_value(leaf, record, pointer_values) for leaf in self.leaves
-        ]
-        try:
-            self.fixed_struct.pack_into(
-                buffer, offset, *[v for vs in values for v in vs]
-            )
-        except struct.error as exc:
-            raise EncodeError(
-                f"format {self.format.name!r}: cannot pack record: {exc}"
-            ) from exc
-        position = offset + self.format.record_length
-        # A memoryview assignment is a straight memcpy; bytearray slice
-        # assignment would materialize a temporary copy of each part.
-        target = memoryview(buffer)
-        for part in var_parts:
-            end = position + len(part)
-            target[position:end] = part
-            position = end
-        return total
-
-    def encoded_size(self, record: dict) -> int:
-        """Size in bytes of the payload :meth:`encode` would produce."""
-        return len(self.encode(record))
-
-    # -- value extraction -------------------------------------------------------
-
-    def _lookup(self, record: dict, path: tuple[str, ...]):
-        value = record
-        for part in path:
-            if isinstance(value, dict):
-                if part not in value:
-                    raise EncodeError(
-                        f"format {self.format.name!r}: record is missing field "
-                        f"{'.'.join(path)!r}"
-                    )
-                value = value[part]
-            elif isinstance(value, (list, tuple)) and part.isdigit():
-                index = int(part)
-                if index >= len(value):
-                    raise EncodeError(
-                        f"format {self.format.name!r}: array for "
-                        f"{'.'.join(path)!r} is too short"
-                    )
-                value = value[index]
-            else:
-                raise EncodeError(
-                    f"format {self.format.name!r}: expected a dict/list at "
-                    f"{'.'.join(path)!r}"
-                )
-        return value
-
-    def _render_var_item(self, item: _VarItem, record: dict) -> tuple[bytes, bool]:
-        value = self._lookup(record, item.path)
-        if item.kind == "string":
-            if value is None:
-                return b"", True
-            if not isinstance(value, str):
-                raise EncodeError(
-                    f"format {self.format.name!r}: field {'.'.join(item.path)!r} "
-                    f"expects a string, got {type(value).__name__}"
-                )
-            return value.encode("utf-8") + b"\x00", False
-        # Dynamic array.
-        if value is None or (hasattr(value, "__len__") and len(value) == 0):
-            return b"", True
-        try:
-            count = len(value)
-        except TypeError:
-            raise EncodeError(
-                f"format {self.format.name!r}: field {'.'.join(item.path)!r} "
-                f"expects a sequence, got {type(value).__name__}"
-            ) from None
-        order = "<" if self.arch.is_little_endian else ">"
-        if hasattr(value, "dtype"):
-            # numpy fast path: one vectorized conversion, no per-element
-            # Python work (the bulk scientific-data case).
-            from repro.pbio.types import DTYPE_CHARS
-
-            char = DTYPE_CHARS.get((item.element_kind, item.element_size))
-            if char is not None:
-                return ndarray_wire_bytes(value, order + char), False
-        converted = [self._convert_scalar(item.element_kind, v, item.path) for v in value]
-        try:
-            return struct.pack(f"{order}{count}{item.element_code}", *converted), False
-        except struct.error as exc:
-            raise EncodeError(
-                f"format {self.format.name!r}: bad element in "
-                f"{'.'.join(item.path)!r}: {exc}"
-            ) from exc
-
-    def _convert_scalar(self, kind: TypeKind | None, value, path: tuple[str, ...]):
-        if kind == TypeKind.CHAR:
-            if isinstance(value, str):
-                encoded = value.encode("utf-8")[:1]
-                return encoded or b"\x00"
-            if isinstance(value, int):
-                return bytes([value])
-            if isinstance(value, bytes):
-                return value[:1] or b"\x00"
-            raise EncodeError(
-                f"format {self.format.name!r}: char field {'.'.join(path)!r} "
-                f"expects a 1-character string"
-            )
-        if kind == TypeKind.BOOLEAN:
-            return 1 if value else 0
-        if kind == TypeKind.ENUMERATION:
-            return int(value)
-        return value
-
-    def _leaf_value(
-        self,
-        leaf: _FixedLeaf,
-        record: dict,
-        pointers: dict[tuple[str, ...], int],
-    ) -> tuple:
-        if leaf.role in ("string_ptr", "dyn_ptr"):
-            return (pointers[leaf.path],)
-        if leaf.role == "count":
-            return (self._count_value(leaf, record),)
-        value = self._lookup(record, leaf.path)
-        if leaf.role == "scalar":
-            return (value,)
-        if leaf.role == "char":
-            return (self._convert_scalar(TypeKind.CHAR, value, leaf.path),)
-        if leaf.role == "bool":
-            return (1 if value else 0,)
-        if leaf.role == "chararray":
-            if isinstance(value, str):
-                return (value.encode("utf-8")[: leaf.count],)
-            if isinstance(value, bytes):
-                return (value[: leaf.count],)
-            raise EncodeError(
-                f"format {self.format.name!r}: char array "
-                f"{'.'.join(leaf.path)!r} expects str or bytes"
-            )
-        # role == "array": a static primitive array.
-        if not isinstance(value, (list, tuple)):
-            raise EncodeError(
-                f"format {self.format.name!r}: field {'.'.join(leaf.path)!r} "
-                f"expects a sequence of {leaf.count}"
-            )
-        if len(value) != leaf.count:
-            raise EncodeError(
-                f"format {self.format.name!r}: field {'.'.join(leaf.path)!r} "
-                f"expects exactly {leaf.count} elements, got {len(value)}"
-            )
-        return tuple(value)
-
-    def _count_value(self, leaf: _FixedLeaf, record: dict) -> int:
-        """Derive (and cross-check) a dynamic-array count field's value."""
-        lengths = []
-        for array_path in leaf.measures:
-            value = self._lookup(record, array_path)
-            lengths.append(0 if value is None else len(value))
-        explicit = None
-        try:
-            explicit = self._lookup(record, leaf.path)
-        except EncodeError:
-            pass  # counts may be omitted from records; they are derived
-        if lengths and len(set(lengths)) > 1:
-            raise EncodeError(
-                f"format {self.format.name!r}: arrays sharing count field "
-                f"{'.'.join(leaf.path)!r} have differing lengths {lengths}"
-            )
-        derived = lengths[0] if lengths else 0
-        if explicit is not None and lengths and explicit != derived:
-            raise EncodeError(
-                f"format {self.format.name!r}: count field "
-                f"{'.'.join(leaf.path)!r} is {explicit} but the array has "
-                f"{derived} elements"
-            )
-        if not lengths:
-            return int(explicit or 0)
-        return derived
-
 
 def get_encode_plan(fmt: IOFormat) -> EncodePlan:
     """Return (building if necessary) the cached plan for ``fmt``."""
@@ -522,46 +281,40 @@ def get_generated_encoder(fmt: IOFormat):
 
     The encoder is the sender-side analogue of the generated converter:
     specialized Python source compiled at first use (see
-    :mod:`repro.pbio.codegen`).  It produces byte-identical output to
-    :meth:`EncodePlan.encode` and raises the same errors (by falling
-    back to the plan for diagnostics).
+    :mod:`repro.pbio.codegen`).  Every failure it raises is an
+    :class:`~repro.errors.EncodeError` naming the format and field.
     """
     encoder = getattr(fmt, "_generated_encoder", None)
-    if encoder is None:
-        from repro.pbio.codegen import make_generated_encoder
-
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter(
-                "pbio_codegen_total", "converter/encoder cache events",
-                ("kind", "event"),
-            ).labels("encoder", "miss").inc()
-        encoder = make_generated_encoder(fmt)
-        fmt._generated_encoder = encoder  # type: ignore[attr-defined]
-    return encoder
+    return encoder if encoder is not None else _build_encoder(fmt, into=False)
 
 
 def get_generated_encode_into(fmt: IOFormat):
     """Return (building if necessary) the cached generated in-place encoder.
 
     The ``encode_into`` counterpart of :func:`get_generated_encoder`:
-    byte-identical to :meth:`EncodePlan.encode_into` (including the
-    capacity :class:`EncodeError` carrying ``.needed``), with the plan
-    walk compiled away so the zero-copy sender allocates only the
-    variable-section parts it must render.
+    byte-identical output written in place, with a capacity
+    :class:`EncodeError` carrying ``.needed`` raised before anything is
+    written, so the zero-copy sender allocates only the variable-section
+    parts it must render.
     """
     encoder = getattr(fmt, "_generated_encode_into", None)
-    if encoder is None:
-        from repro.pbio.codegen import make_generated_encoder_into
+    return encoder if encoder is not None else _build_encoder(fmt, into=True)
 
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter(
-                "pbio_codegen_total", "converter/encoder cache events",
-                ("kind", "event"),
-            ).labels("encode_into", "miss").inc()
-        encoder = make_generated_encoder_into(fmt)
-        fmt._generated_encode_into = encoder  # type: ignore[attr-defined]
+
+def _build_encoder(fmt: IOFormat, *, into: bool):
+    """Compile, count and cache one of ``fmt``'s generated encoders."""
+    from repro.pbio.codegen import make_generated_encoder, make_generated_encoder_into
+
+    registry = get_registry()
+    if registry.enabled:
+        registry.counter(
+            "pbio_codegen_total", "converter/encoder cache events",
+            ("kind", "event"),
+        ).labels("encode_into" if into else "encoder", "miss").inc()
+    if into:
+        fmt._generated_encode_into = encoder = make_generated_encoder_into(fmt)
+    else:
+        fmt._generated_encoder = encoder = make_generated_encoder(fmt)
     return encoder
 
 
@@ -570,18 +323,9 @@ def get_generated_encode_into(fmt: IOFormat):
 _encode_tick = [0]
 
 
-def encode_record(fmt: IOFormat, record: dict, *, mode: str = "generated") -> bytes:
-    """Encode ``record`` per ``fmt``.
-
-    ``mode`` selects the generated encoder (default) or the plan-walking
-    ``"interpreted"`` encoder kept for the sender-side ablation.
-    """
-    if mode == "generated":
-        encoder = get_generated_encoder(fmt)
-    elif mode == "interpreted":
-        encoder = get_encode_plan(fmt).encode
-    else:
-        raise EncodeError(f"unknown encode mode {mode!r}")
+def encode_record(fmt: IOFormat, record: dict) -> bytes:
+    """Encode ``record`` per ``fmt`` with its generated encoder."""
+    encoder = get_generated_encoder(fmt)
     # Read the default-registry global directly: the function call that
     # get_registry() costs is measurable inside the <5 % overhead budget.
     registry = _metrics._default_registry

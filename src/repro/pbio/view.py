@@ -15,7 +15,8 @@ needed — but shine when the consumer touches a small subset.
 
 Views are read-only and valid as long as the underlying buffer is.  Use
 :meth:`RecordView.materialize` to get an ordinary dict (equivalent to
-the eager converter's output).
+the eager converter's output).  A corrupt payload surfaces as a
+:class:`~repro.errors.DecodeError` from the field access that reads it.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from typing import Iterator, Mapping
 from repro.arch.model import TypeKind
 from repro.errors import DecodeError
 from repro.pbio.codegen import _read_string
+from repro.pbio.decode import CORRUPT_PAYLOAD
 from repro.pbio.format import CompiledField, IOFormat
 
 
@@ -59,7 +61,13 @@ class RecordView(Mapping):
         if name in self._cache:
             return self._cache[name]
         field = self._format.field(name)  # raises for unknown names
-        value = self._read_field(field)
+        try:
+            value = self._read_field(field)
+        except CORRUPT_PAYLOAD as exc:
+            raise DecodeError(
+                f"corrupt payload for format {self._format.name!r}, field "
+                f"{name!r}: {exc}"
+            ) from exc
         self._cache[name] = value
         return value
 

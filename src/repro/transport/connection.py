@@ -76,7 +76,7 @@ class RecordConnection:
         self.data_bytes += len(message)
         self.data_messages += 1
 
-    def send_batch(self, fmt: IOFormat | str, records, *, use_numpy=None) -> int:
+    def send_batch(self, fmt: IOFormat | str, records) -> int:
         """Send ``records`` as one columnar batch message; returns the count.
 
         Metadata is pushed first like :meth:`send`.  The batch frame is
@@ -89,7 +89,7 @@ class RecordConnection:
         if isinstance(fmt, str):
             fmt = self.context.lookup_format(fmt)
         self.announce(fmt)
-        parts = self.context.encode_batch_iov(fmt, records, use_numpy=use_numpy)
+        parts = self.context.encode_batch_iov(fmt, records)
         sent = self.channel.send_batch(parts)
         self.data_bytes += sent
         self.batch_messages += 1
@@ -121,7 +121,6 @@ class RecordConnection:
         timeout: float | None = None,
         *,
         expect: str | None = None,
-        mode: str = "generated",
     ) -> DecodedRecord:
         """Receive the next data record, servicing protocol messages.
 
@@ -143,7 +142,7 @@ class RecordConnection:
                 _, _, _, _, head_id = IOContext.parse_header(head)
                 if self.context.knows_format_id(head_id) or self._try_server(head_id):
                     self._parked.popleft()
-                    return self._deliver(head, head_trace, expect, mode)
+                    return self._deliver(head, head_trace, expect)
             message, trace = extract(self.channel.recv(timeout))
             kind, _, _, length, format_id = IOContext.parse_header(message)
             if kind == KIND_FORMAT:
@@ -159,16 +158,16 @@ class RecordConnection:
                     # An earlier record is still stalled; keep order.
                     self._parked.append((message, trace))
                     continue
-                return self._deliver(message, trace, expect, mode)
+                return self._deliver(message, trace, expect)
             self.channel.send(self.context.request_message(format_id))
             self._parked.append((message, trace))
 
-    def _deliver(self, message, trace, expect, mode) -> DecodedRecord:
+    def _deliver(self, message, trace, expect) -> DecodedRecord:
         """Decode one data or batch message; batches queue their tail."""
         kind, _, _, _, _ = IOContext.parse_header(message)
         self.last_trace = trace
         if kind != KIND_BATCH:
-            return self.context.decode(message, expect=expect, mode=mode)
+            return self.context.decode(message, expect=expect)
         batch = self.context.decode_batch(message)
         self.batches_received += 1
         records = [

@@ -1,8 +1,8 @@
 """Size-classed buffer pooling for the allocation-free hot path.
 
 The steady-state send/recv path should not allocate per message: encode
-writes into a pooled ``bytearray`` (:meth:`EncodePlan.encode_into
-<repro.pbio.encode.EncodePlan.encode_into>`), the transports receive
+writes into a pooled ``bytearray`` (:meth:`IOContext.encode_into
+<repro.pbio.context.IOContext.encode_into>`), the transports receive
 into a reusable buffer, and views are handed out instead of copies.
 :class:`BufferPool` supplies those buffers.
 

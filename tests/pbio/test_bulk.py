@@ -8,6 +8,7 @@ from repro.errors import DecodeError
 from repro.pbio import IOContext, IOField, RecordView
 from repro.pbio.bulk import array_view, native_copy, pack_array, wire_dtype
 from repro.pbio.encode import encode_record
+from repro.pbio.oracle import InterpretedEncoder
 
 
 @pytest.fixture
@@ -42,9 +43,9 @@ class TestEncodeWithNumpy:
             "conc": numpy.linspace(0, 1, 17),
             "grid": [1.0, 2.0, 3.0, 4.0],
         }
-        assert encode_record(chem_format, record, mode="generated") == encode_record(
-            chem_format, record, mode="interpreted"
-        )
+        assert encode_record(chem_format, record) == InterpretedEncoder(
+            chem_format
+        ).encode(record)
 
     def test_wrong_dtype_converted(self, chem_format):
         as_f32 = encode_record(

@@ -6,12 +6,9 @@ import pytest
 
 from repro.arch import SPARC_32, X86_64
 from repro.pbio import IOContext, IOField
-from repro.pbio.codegen import (
-    generate_converter_source,
-    make_generated_converter,
-    make_interpreted_converter,
-)
+from repro.pbio.codegen import generate_converter_source, make_generated_converter
 from repro.pbio.encode import encode_record
+from repro.pbio.oracle import make_interpreted_converter
 
 from tests.pbio.conftest import ASDOFF_RECORD, register_asdoff
 

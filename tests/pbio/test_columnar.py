@@ -86,26 +86,31 @@ class TestInputValidation:
 
 
 class TestNumpyTriState:
-    def test_auto_and_explicit_paths_agree(self, weather):
+    """numpy is used when it imports; tests force the pure-Python path
+    by patching :func:`repro.pbio.columnar._numpy_or_none`."""
+
+    def test_auto_and_explicit_paths_agree(self, weather, monkeypatch):
         context, fmt, workload = weather
         records = workload.batch(16)
         auto = context.encode_batch(fmt, records)
-        pure = context.encode_batch(fmt, records, use_numpy=False)
+        import repro.pbio.columnar as columnar
+
+        monkeypatch.setattr(columnar, "_numpy_or_none", lambda: None)
+        pure = context.encode_batch(fmt, records)
         assert auto == pure
-        if HAVE_NUMPY:
-            assert context.encode_batch(fmt, records, use_numpy=True) == auto
 
     def test_require_numpy_raises_when_absent(self, weather, monkeypatch):
+        """Column views need numpy; without it access is a typed error."""
         context, fmt, workload = weather
         records = workload.batch(2)
         message = context.encode_batch(fmt, records)
         import repro.pbio.columnar as columnar
 
         monkeypatch.setattr(columnar, "_numpy_or_none", lambda: None)
-        with pytest.raises(EncodeError):
-            context.encode_batch(fmt, records, use_numpy=True)
-        with pytest.raises(DecodeError):
-            context.decode_batch(message, use_numpy=True)
+        view = context.decode_batch_view(message)
+        with pytest.raises(DecodeError, match="needs numpy"):
+            view.column(fmt.compiled_fields[0].name)
+        assert list(view) == records
 
     def test_pure_python_decode_without_numpy(self, weather, monkeypatch):
         """With numpy gone entirely, auto mode still round-trips."""

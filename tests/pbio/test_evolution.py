@@ -2,12 +2,13 @@
 
 from repro.arch import SPARC_32, X86_64
 from repro.pbio import IOContext, IOField
+from repro.pbio.codegen import make_fused_converter
+from repro.pbio.encode import encode_record
 from repro.pbio.evolution import (
     Compatibility,
     compare_formats,
     default_record,
     formats_compatible,
-    make_projection,
 )
 
 
@@ -101,9 +102,9 @@ class TestDefaults:
             "new",
             [IOField("x", "integer", 4, 0), IOField("extra", "integer[2]", 4, 4)],
         )
-        project = make_projection(old, new)
-        first = project({"x": 1})
-        second = project({"x": 2})
+        project = make_fused_converter(old, new)
+        first = project(encode_record(old, {"x": 1}))
+        second = project(encode_record(old, {"x": 2}))
         first["extra"].append(99)
         assert second["extra"] == [0, 0]
 
@@ -137,8 +138,8 @@ class TestNestedEvolution:
         receiver = IOContext(X86_64)
         inner = receiver.register_format("inner", [IOField("z", "integer", 4, 0)])
         target = receiver.register_format("t", [IOField("v", "inner", 4, 0)])
-        project = make_projection(wire, target)
-        assert project({"v": 7}) == {"v": {"z": 0}}
+        project = make_fused_converter(wire, target)
+        assert project(encode_record(wire, {"v": 7})) == {"v": {"z": 0}}
 
 
 class TestCompatibilityPredicate:

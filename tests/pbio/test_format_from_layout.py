@@ -7,6 +7,7 @@ from repro.errors import DecodeError, FormatRegistrationError
 from repro.pbio import IOContext, format_from_layout
 from repro.pbio.decode import ConverterCache, decode_payload
 from repro.pbio.encode import encode_record
+from repro.pbio.oracle import make_interpreted_converter
 
 
 class TestFormatFromLayout:
@@ -110,7 +111,7 @@ class TestDecodePayloadAPI:
 
         fmt = x86_context.register_format("t", [IOField("v", "integer", 4, 0)])
         payload = encode_record(fmt, {"v": 9})
-        assert decode_payload(fmt, payload, mode="interpreted") == {"v": 9}
+        assert make_interpreted_converter(fmt)(payload) == {"v": 9}
 
 
 class TestXDRStaticStringArrays:

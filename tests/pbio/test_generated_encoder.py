@@ -1,4 +1,8 @@
-"""Unit tests for the generated (sender-side DCG) encoder."""
+"""Unit tests for the generated (sender-side DCG) encoder.
+
+Byte parity is checked against the interpreted encoder of
+:mod:`repro.pbio.oracle`; errors must be typed without it.
+"""
 
 import pytest
 
@@ -6,8 +10,13 @@ from repro import XML2Wire
 from repro.arch import SPARC_32, X86_64
 from repro.errors import EncodeError
 from repro.pbio import IOContext, IOField
-from repro.pbio.codegen import generate_encoder_source, make_generated_encoder
+from repro.pbio.codegen import (
+    generate_encoder_source,
+    make_generated_encoder,
+    make_generated_encoder_into,
+)
 from repro.pbio.encode import encode_record
+from repro.pbio.oracle import InterpretedEncoder
 
 from repro.workloads import ASDOFF_A_SCHEMA, ASDOFF_B_SCHEMA, ASDOFF_CD_SCHEMA
 
@@ -19,8 +28,8 @@ class TestByteParity:
     def test_identical_to_plan_on_paper_structure(self, any_arch):
         ctx = IOContext(any_arch)
         fmt = register_asdoff(ctx)
-        generated = encode_record(fmt, ASDOFF_RECORD, mode="generated")
-        interpreted = encode_record(fmt, ASDOFF_RECORD, mode="interpreted")
+        generated = encode_record(fmt, ASDOFF_RECORD)
+        interpreted = InterpretedEncoder(fmt).encode(ASDOFF_RECORD)
         assert generated == interpreted
 
     def test_identical_with_nulls_and_empties(self, sparc_context):
@@ -38,8 +47,8 @@ class TestByteParity:
             {"s": "", "d": [1.0]},
             {"s": "x", "d": None},
         ):
-            assert encode_record(fmt, record, mode="generated") == encode_record(
-                fmt, dict(record), mode="interpreted"
+            assert encode_record(fmt, record) == InterpretedEncoder(fmt).encode(
+                dict(record)
             )
 
     def test_identical_on_nested_with_char_buffers(self, sparc_context):
@@ -54,9 +63,7 @@ class TestByteParity:
         )
         record = {"pair": [{"tag": "ab", "c": "x", "b": True},
                            {"tag": "cdef", "c": "y", "b": False}]}
-        assert encode_record(fmt, record, mode="generated") == encode_record(
-            fmt, record, mode="interpreted"
-        )
+        assert encode_record(fmt, record) == InterpretedEncoder(fmt).encode(record)
 
 
 class TestGeneratedSource:
@@ -74,7 +81,7 @@ class TestGeneratedSource:
 
 
 class TestErrorParity:
-    """The generated path must raise the same errors as the plan."""
+    """The generated path raises the oracle's errors, typed, by itself."""
 
     @pytest.fixture
     def fmt(self, x86_context):
@@ -113,8 +120,75 @@ class TestErrorParity:
             encode_record(fmt, {"v": 2**40})
 
     def test_unknown_mode_rejected(self, fmt):
-        with pytest.raises(EncodeError, match="unknown encode mode"):
-            encode_record(fmt, {}, mode="quantum")
+        """There is one encoder; no ``mode`` selects another."""
+        with pytest.raises(TypeError):
+            encode_record(fmt, {}, mode="interpreted")
+
+    @pytest.mark.parametrize(
+        "record, match",
+        [
+            ({"name": "x", "data": []}, "missing field"),
+            ({"name": 5, "data": [], "trio": [1, 2, 3]}, "expects a string"),
+            ({"name": "x", "data": [1.0], "n": 3, "trio": [1, 2, 3]}, "count field"),
+            ({"name": "x", "data": [], "trio": [1]}, "exactly 3"),
+        ],
+    )
+    def test_encode_into_raises_the_same_errors(
+        self, fmt, x86_context, record, match
+    ):
+        with pytest.raises(EncodeError, match=match):
+            x86_context.encode_into(fmt, record, bytearray(256))
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [("v", 2**40), ("v", None), ("c", 3.5), ("t", 5), ("d", ["x"]), ("d", 7)],
+    )
+    def test_errors_name_format_and_field(self, x86_context, field, bad):
+        fmt = x86_context.register_format(
+            "s",
+            [
+                IOField("v", "integer", 2, 0),
+                IOField("c", "char", 1, 2),
+                IOField("t", "char[4]", 1, 3),
+                IOField("n", "integer", 4, 8),
+                IOField("d", "double[n]", 8, 16),
+            ],
+            record_length=24,
+        )
+        record = {"v": 1, "c": "a", "t": "ab", "d": [1.0], field: bad}
+        encoders = (
+            lambda: encode_record(fmt, record),
+            lambda: x86_context.encode_into(fmt, record, bytearray(256)),
+        )
+        for encode in encoders:
+            with pytest.raises(EncodeError, match=f"format 's': field '{field}'"):
+                encode()
+
+
+class TestDynamicCharArrays:
+    """``char[n]`` arrays take str, int or bytes elements (or one str)."""
+
+    @pytest.fixture
+    def fmt(self, sparc_context):
+        return sparc_context.register_format(
+            "t",
+            [IOField("n", "integer", 4, 0), IOField("cs", "char[n]", 1, 4)],
+            record_length=8,
+        )
+
+    @pytest.mark.parametrize("chars", [["a", "b"], [97, 98], "ab", b"ab"])
+    def test_generated_encoders_match_oracle(self, sparc_context, fmt, chars):
+        record = {"cs": chars}
+        expected = InterpretedEncoder(fmt).encode(record)
+        assert expected[8:] == b"ab"
+        assert make_generated_encoder(fmt)(record) == expected
+        buffer = bytearray(64)
+        length = make_generated_encoder_into(fmt)(record, buffer, 4)
+        assert bytes(buffer[4 : 4 + length]) == expected
+
+    def test_unencodable_element_names_the_field(self, fmt):
+        with pytest.raises(EncodeError, match="field 'cs'"):
+            encode_record(fmt, {"cs": ["a", 2.5]})
 
 
 class TestFallbackCorrectness:
@@ -127,19 +201,18 @@ class TestFallbackCorrectness:
         fmt = x86_context.register_format(
             "t", [IOField("e", "enumeration", 4, 0)]
         )
-        generated = encode_record(fmt, {"e": Color.RED}, mode="generated")
-        interpreted = encode_record(fmt, {"e": Color.RED}, mode="interpreted")
+        generated = encode_record(fmt, {"e": Color.RED})
+        interpreted = InterpretedEncoder(fmt).encode({"e": Color.RED})
         assert generated == interpreted
         assert x86_context.decode(
             x86_context.encode(fmt, {"e": Color.RED})
         ).values == {"e": 3}
 
     def test_char_given_as_int_falls_back_identically(self, x86_context):
-        """Int-valued chars miss the generated fast path's str handling;
-        the fallback must produce the same bytes the plan does."""
+        """Int-valued chars encode to the same byte the oracle gives."""
         fmt = x86_context.register_format("t", [IOField("c", "char", 1, 0)])
-        generated = encode_record(fmt, {"c": 65}, mode="generated")
-        interpreted = encode_record(fmt, {"c": 65}, mode="interpreted")
+        generated = encode_record(fmt, {"c": 65})
+        interpreted = InterpretedEncoder(fmt).encode({"c": 65})
         assert generated == interpreted == b"A"
 
 

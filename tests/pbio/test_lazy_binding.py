@@ -1,4 +1,4 @@
-"""Instance-based lazy binding: LRU caches, compiled/fused projections.
+"""Instance-based lazy binding: LRU caches, fused converters.
 
 Covers the PROTOCOL §16 machinery: the shared :class:`BoundedLRU`, the
 bounded :class:`ConverterCache` with the fused decode+project path, the
@@ -28,12 +28,10 @@ from repro.pbio.evolution import (
     compare_formats,
     describe_projection,
     formats_compatible,
-    generate_projection_source,
-    make_interpreted_projection,
-    make_projection,
 )
 from repro.pbio.format import IOFormat
 from repro.pbio.lru import BoundedLRU
+from repro.pbio.oracle import make_interpreted_decoder, make_interpreted_projection
 
 
 def v1_fields(arch):
@@ -114,6 +112,9 @@ class TestBoundedLRU:
 
 
 class TestCompiledProjection:
+    """The projection compiled into the fused converter, against the
+    interpreted projection of :mod:`repro.pbio.oracle`."""
+
     def wire_and_target(self):
         sender = IOContext(SPARC_32)
         wire = sender.register_format("track", v2_fields(SPARC_32))
@@ -124,17 +125,19 @@ class TestCompiledProjection:
     def test_compiled_matches_interpreted(self):
         wire, target = self.wire_and_target()
         record = {"flight": "DL1", "alt": 31000, "speed": 450.0}
-        compiled = make_projection(wire, target, use_codegen=True)
+        payload = IOContext(SPARC_32).encode(wire, record)[HEADER_SIZE:]
+        compiled = make_fused_converter(wire, target)
         interpreted = make_interpreted_projection(wire, target)
-        assert compiled(record) == interpreted(record) == {
+        assert compiled(payload) == interpreted(record) == {
             "flight": "DL1", "alt": 31000,
         }
 
     def test_source_is_inspectable(self):
         wire, target = self.wire_and_target()
-        source = generate_projection_source(wire, target)
-        assert source.startswith("def project(record):")
-        assert "record['flight']" in source
+        source = generate_fused_converter_source(wire, target)
+        assert source.startswith("def convert(payload")
+        assert "'flight':" in source
+        assert "'speed'" not in source
 
     def test_defaults_never_alias(self):
         sender = IOContext(SPARC_32)
@@ -146,19 +149,17 @@ class TestCompiledProjection:
             "t",
             [IOField("a", "integer", 4, 0), IOField("xs", "integer[3]", 4, 4)],
         )
-        for use_codegen in (True, False):
-            project = make_projection(wire, target, use_codegen=use_codegen)
-            first = project({"a": 1})
-            second = project({"a": 2})
+        payloads = [
+            sender.encode(wire, {"a": a})[HEADER_SIZE:] for a in (1, 2)
+        ]
+        for project in (
+            make_fused_converter(wire, target),
+            make_interpreted_decoder(wire, target),
+        ):
+            first = project(payloads[0])
+            second = project(payloads[1])
             first["xs"].append(99)
             assert second["xs"] == [0, 0, 0]
-
-    def test_tri_state_false_is_interpreted(self):
-        wire, target = self.wire_and_target()
-        project = make_projection(wire, target, use_codegen=False)
-        # The interpreted closure carries cell variables; the compiled
-        # function does not.
-        assert project.__closure__ is not None
 
 
 class TestFusedConverter:
@@ -175,7 +176,7 @@ class TestFusedConverter:
         message = sender.encode(wire, record)
         payload = message[HEADER_SIZE:]
         fused = make_fused_converter(wire, target)
-        two_step = make_projection(wire, target)
+        two_step = make_interpreted_projection(wire, target)
         base = make_generated_converter(wire)
         assert fused(payload) == two_step(base(payload)) == {
             "flight": "DL1", "alt": 31000,
@@ -202,21 +203,8 @@ class TestFusedConverter:
         message = sender.encode(wire, {"flight": "X", "alt": 7, "speed": 1.25})
         receiver.learn_format(wire.to_wire_metadata())
         fused = receiver.decode(message, expect="track").values
-        interpreted = receiver.decode(
-            message, expect="track", mode="interpreted"
-        ).values
+        interpreted = make_interpreted_decoder(wire, target)(message[HEADER_SIZE:])
         assert fused == interpreted == {"flight": "X", "alt": 7}
-
-    def test_use_fused_false_still_correct(self):
-        sender = IOContext(SPARC_32)
-        wire = sender.register_format("track", v2_fields(SPARC_32))
-        receiver = IOContext(X86_64, use_fused=False)
-        receiver.register_format("track", v1_fields(X86_64))
-        receiver.learn_format(wire.to_wire_metadata())
-        message = sender.encode(wire, {"flight": "Y", "alt": 5, "speed": 2.0})
-        assert receiver.decode(message, expect="track").values == {
-            "flight": "Y", "alt": 5,
-        }
 
     @pytest.fixture
     def broken_fusion(self, monkeypatch):
@@ -225,31 +213,18 @@ class TestFusedConverter:
 
         monkeypatch.setattr("repro.pbio.decode.make_fused_converter", fail)
 
-    def test_fused_build_failure_falls_back_and_is_counted(
-        self, broken_fusion, fresh_registry
-    ):
-        sender, wire, receiver, _ = self.formats()
-        message = sender.encode(wire, {"flight": "Z", "alt": 3, "speed": 0.5})
-        receiver.learn_format(wire.to_wire_metadata())
-        assert receiver.decode(message, expect="track").values == {
-            "flight": "Z", "alt": 3,
-        }
-        snap = fresh_registry.snapshot()["pbio_codegen_total"]
-        assert snap[(("kind", "fused"), ("event", "fallback"))] == 1
-
     def test_forced_fusion_failure_propagates_uncounted(
         self, broken_fusion, fresh_registry
     ):
-        sender = IOContext(SPARC_32)
-        wire = sender.register_format("track", v2_fields(SPARC_32))
-        receiver = IOContext(X86_64, use_fused=True)
-        receiver.register_format("track", v1_fields(X86_64))
+        """A generator failure is a typed error, not a slower path."""
+        sender, wire, receiver, _ = self.formats()
         receiver.learn_format(wire.to_wire_metadata())
         message = sender.encode(wire, {"flight": "Z", "alt": 3, "speed": 0.5})
-        with pytest.raises(RuntimeError, match="fusion unavailable"):
+        with pytest.raises(ConversionError, match="fusion unavailable"):
             receiver.decode(message, expect="track")
         snap = fresh_registry.snapshot()["pbio_codegen_total"]
         assert (("kind", "fused"), ("event", "fallback")) not in snap
+        assert receiver.converter_builds == 0
 
 
 class TestConverterCacheBounds:
@@ -260,7 +235,7 @@ class TestConverterCacheBounds:
             fmt = IOFormat(
                 f"f{i}", [IOField("v", "integer", 4, 0)], SPARC_32, catalog={}
             )
-            cache.lookup(fmt, None, "interpreted")
+            cache.lookup(fmt)
         assert len(cache) == 4
         assert cache.stats()["evictions"] == 6
         assert context.converter_builds == 10
@@ -282,7 +257,7 @@ class TestConverterCacheBounds:
         cache = ConverterCache()
         sender = IOContext(SPARC_32)
         wire = sender.register_format("track", v1_fields(SPARC_32))
-        cache.lookup(wire, None, "generated")
+        cache.lookup(wire)
         assert len(cache) == 1
         cache.invalidate(wire.format_id)
         assert len(cache) == 0
@@ -292,17 +267,18 @@ class TestConverterCacheBounds:
         cache = ConverterCache()
         first = IOContext(SPARC_32, converter_cache=cache)
         wire = first.register_format("track", v1_fields(SPARC_32))
-        cache.lookup(wire, None, "generated")
+        cache.lookup(wire)
         again = IOContext(SPARC_32, converter_cache=cache)
         wire_again = again.register_format("track", v1_fields(SPARC_32))
-        cache.lookup(wire_again, None, "generated")
+        cache.lookup(wire_again)
         assert cache.builds == 1
 
     def test_unknown_mode_rejected(self):
+        """The key is (wire id, target id); no mode selects a converter."""
         cache = ConverterCache()
         fmt = IOFormat("f", [IOField("v", "integer", 4, 0)], SPARC_32, catalog={})
-        with pytest.raises(DecodeError):
-            cache.lookup(fmt, None, "vectorized")
+        with pytest.raises(TypeError):
+            cache.lookup(fmt, None, "interpreted")
 
     def test_churn_10k_distinct_formats_holds_cap(self):
         """10k distinct wire formats cannot grow the cache past its cap.
@@ -328,7 +304,7 @@ class TestConverterCacheBounds:
             )
             receiver._wire_formats[fmt.format_id] = fmt
             base_message[8:16] = fmt.format_id
-            decoded = receiver.decode(bytes(base_message), mode="interpreted")
+            decoded = receiver.decode(bytes(base_message))
             assert decoded.values == {"v": 42}
         stats = receiver.converter_cache_stats()
         assert stats["size"] <= capacity

@@ -4,7 +4,12 @@ For any valid message and any single-byte mutation, decoding must either
 succeed (payload-data mutations legitimately change values) or raise a
 typed :class:`~repro.errors.ReproError` — never an unhandled exception,
 never a hang.  Same for format metadata blocks and backbone envelopes.
+A seeded suite drives the three NDR decode entry points (``decode``,
+``decode_payload`` and ``decode_view(...).materialize()``) through byte
+flips, truncations and hostile pointer and count values.
 """
+
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -13,6 +18,9 @@ from hypothesis import strategies as st
 from repro import IOContext, SPARC_32, X86_64, XML2Wire, parse_schema
 from repro.errors import ReproError
 from repro.events.remote import unpack_envelope
+from repro.pbio.context import HEADER, HEADER_SIZE, KIND_DATA, PROTOCOL_VERSION
+from repro.pbio.decode import decode_payload
+from repro.pbio.encode import get_encode_plan
 from repro.pbio.format import IOFormat
 from repro.wire import CDRCodec, XDRCodec
 from repro.workloads import (
@@ -23,6 +31,7 @@ from repro.workloads import (
     make_synthetic_schema,
 )
 
+from tests.golden import vectors
 from tests.xmlparse.test_chars import BOUNDARIES
 
 RELAXED = settings(
@@ -180,3 +189,92 @@ class TestSchemaParseMutations:
         for document in SCHEMA_DOCUMENTS[:4]:
             for cut in range(len(document)):
                 parse_contained(document[:cut])
+
+
+def _decode_subjects():
+    """(id, wire format, data message, receiver) per golden-vector format,
+    on a 32-bit and a 64-bit sender (4- and 8-byte pointer slots)."""
+    subjects = []
+    for name in vectors.VECTOR_NAMES:
+        registrar, record = vectors.VECTORS[name]
+        for arch in (SPARC_32, X86_64):
+            sender, fmt = registrar(arch)
+            receiver = IOContext(X86_64)
+            receiver.learn_format(fmt.to_wire_metadata())
+            subjects.append(
+                (f"{name}-{arch.name}", fmt, sender.encode(fmt, record), receiver)
+            )
+    return subjects
+
+
+DECODE_SUBJECTS = _decode_subjects()
+
+
+def data_message(fmt, payload) -> bytes:
+    """A data message whose header agrees with ``payload``'s length."""
+    header = HEADER.pack(KIND_DATA, PROTOCOL_VERSION, 0, len(payload), fmt.format_id)
+    return header + payload
+
+
+def assert_decodes_contained(receiver, fmt, message) -> None:
+    """Each decode entry point returns a value or raises a ReproError."""
+    payload = message[HEADER_SIZE:]
+    entry_points = {
+        "decode": lambda: receiver.decode(message),
+        "decode(bytearray)": lambda: receiver.decode(bytearray(message)),
+        "decode_payload": lambda: decode_payload(fmt, payload),
+        "decode_view": lambda: receiver.decode_view(message).materialize(),
+    }
+    for name, decode in entry_points.items():
+        try:
+            decode()
+        except ReproError:
+            continue
+        except Exception as exc:  # pragma: no cover - the assertion
+            pytest.fail(
+                f"{name} leaked {type(exc).__name__} on {message.hex()}: {exc}"
+            )
+
+
+#: Values written into pointer and count slots: null, the signed 32-bit
+#: boundary, and values no 32- or 64-bit index can hold.
+HOSTILE_VALUES = (0, 2**31, 2**32 - 1, 2**63, 2**64 - 1)
+
+
+@pytest.mark.parametrize(
+    "subject", DECODE_SUBJECTS, ids=[subject[0] for subject in DECODE_SUBJECTS]
+)
+class TestDecodeEntryPointMutations:
+    def test_seeded_byte_flips_contained(self, subject):
+        _, fmt, message, receiver = subject
+        rng = random.Random(subject[0])
+        for _ in range(300):
+            broken = bytearray(message)
+            for _ in range(rng.randint(1, 3)):
+                broken[rng.randrange(HEADER_SIZE, len(broken))] = rng.randrange(256)
+            assert_decodes_contained(receiver, fmt, bytes(broken))
+
+    def test_truncations_contained(self, subject):
+        _, fmt, message, receiver = subject
+        payload = message[HEADER_SIZE:]
+        for cut in range(len(payload)):
+            assert_decodes_contained(receiver, fmt, data_message(fmt, payload[:cut]))
+
+    def test_hostile_pointers_and_counts_contained(self, subject):
+        _, fmt, message, receiver = subject
+        order = "little" if fmt.arch.is_little_endian else "big"
+        slots = [
+            (leaf.offset, leaf.code)
+            for leaf in get_encode_plan(fmt).leaves
+            if leaf.role in ("string_ptr", "dyn_ptr", "count")
+        ]
+        assert slots
+        for offset, code in slots:
+            size = 8 if code in "qQ" else 4
+            for value in HOSTILE_VALUES:
+                broken = bytearray(message)
+                start = HEADER_SIZE + offset
+                broken[start : start + size] = (value % 2 ** (8 * size)).to_bytes(
+                    size, order
+                )
+                assert_decodes_contained(receiver, fmt, bytes(broken))

@@ -1,11 +1,11 @@
-"""Property-based parity for compiled projections and fused converters.
+"""Property-based parity for fused converters against the oracle.
 
 For any (wire schema, evolved target schema) pair the metadata grammar
 can express, any record fitting the wire schema, and any (sender,
 receiver) architecture pair:
 
-- the compiled (codegen) projection and the interpreted projection
-  produce identical records;
+- the projection compiled into the fused converter and the interpreted
+  projection of :mod:`repro.pbio.oracle` produce identical records;
 - the fused decode+project converter and the interpreted
   decode-then-project composition produce identical records;
 - defaulted mutable values are fresh objects on every call (no
@@ -21,13 +21,10 @@ from hypothesis import strategies as st
 
 from repro import IOContext, XML2Wire
 from repro.arch import ALPHA, SPARC_32, SPARC_64, X86_32, X86_64
-from repro.pbio.evolution import (
-    Compatibility,
-    compare_formats,
-    generate_projection_source,
-    make_interpreted_projection,
-    make_projection,
-)
+from repro.pbio.codegen import generate_fused_converter_source, make_fused_converter
+from repro.pbio.context import HEADER_SIZE
+from repro.pbio.evolution import Compatibility, compare_formats
+from repro.pbio.oracle import make_interpreted_decoder, make_interpreted_projection
 
 from tests.property.strategies import evolution_case
 
@@ -42,8 +39,8 @@ RELAXED = settings(
 )
 
 
-def register(schema, format_name, arch, **context_kwargs):
-    tool = XML2Wire(IOContext(arch, **context_kwargs))
+def register(schema, format_name, arch):
+    tool = XML2Wire(IOContext(arch))
     tool.register_schema(schema)
     return tool.context, tool.context.lookup_format(format_name)
 
@@ -55,25 +52,24 @@ class TestProjectionParity:
         wire_schema, target_schema, name, record = case
         sender, wire = register(wire_schema, name, pair[0])
         _, target = register(target_schema, name, pair[1])
-        decoded = IOContext(pair[1], use_fused=False)
+        decoded = IOContext(pair[1])
         decoded.learn_format(wire.to_wire_metadata())
-        wire_shaped = decoded.decode(sender.encode(wire, record)).values
-        compiled = make_projection(wire, target, use_codegen=True)
+        message = sender.encode(wire, record)
+        wire_shaped = decoded.decode(message).values
+        compiled = make_fused_converter(wire, target)
         interpreted = make_interpreted_projection(wire, target)
-        assert compiled(wire_shaped) == interpreted(wire_shaped)
+        assert compiled(message[HEADER_SIZE:]) == interpreted(wire_shaped)
 
     @RELAXED
     @given(case=evolution_case(), pair=arch_pairs)
     def test_fused_equals_interpreted_composition(self, case, pair):
         wire_schema, target_schema, name, record = case
         sender, wire = register(wire_schema, name, pair[0])
-        # use_fused=True forces fusion: a fallback would mask a fused-
-        # path generation failure.
-        receiver, _ = register(target_schema, name, pair[1], use_fused=True)
+        receiver, target = register(target_schema, name, pair[1])
         receiver.learn_format(wire.to_wire_metadata())
         message = sender.encode(wire, record)
         fused = receiver.decode(message, expect=name).values
-        interpreted = receiver.decode(message, expect=name, mode="interpreted").values
+        interpreted = make_interpreted_decoder(wire, target)(message[HEADER_SIZE:])
         assert fused == interpreted
 
     @RELAXED
@@ -81,14 +77,12 @@ class TestProjectionParity:
     def test_fused_equals_two_step(self, case, pair):
         wire_schema, target_schema, name, record = case
         sender, wire = register(wire_schema, name, pair[0])
-        fused_rx, _ = register(target_schema, name, pair[1], use_fused=True)
-        two_step_rx, _ = register(target_schema, name, pair[1], use_fused=False)
+        fused_rx, target = register(target_schema, name, pair[1])
         message = sender.encode(wire, record)
-        for receiver in (fused_rx, two_step_rx):
-            receiver.learn_format(wire.to_wire_metadata())
-        assert (
-            fused_rx.decode(message, expect=name).values
-            == two_step_rx.decode(message, expect=name).values
+        fused_rx.learn_format(wire.to_wire_metadata())
+        project = make_interpreted_projection(wire, target)
+        assert fused_rx.decode(message, expect=name).values == project(
+            fused_rx.decode(message).values
         )
 
     @RELAXED
@@ -115,7 +109,7 @@ class TestProjectionParity:
         wire_schema, target_schema, name, record = case
         _, wire = register(wire_schema, name, arch)
         _, target = register(target_schema, name, arch)
-        source = generate_projection_source(wire, target)
+        source = generate_fused_converter_source(wire, target)
         compile(source, "<projection>", "exec")
 
 

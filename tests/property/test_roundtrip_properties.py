@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 
 from repro import IOContext, XDRCodec, XMLTextCodec, XML2Wire
 from repro.arch import ALPHA, SPARC_32, SPARC_64, X86_32, X86_64
-from repro.pbio.codegen import make_generated_converter, make_interpreted_converter
+from repro.pbio.codegen import make_generated_converter
 from repro.pbio.encode import encode_record
+from repro.pbio.oracle import make_interpreted_converter
 from repro.pbio.format import IOFormat
 
 from tests.property.strategies import schema_and_record

@@ -29,6 +29,7 @@ from repro.obs import (
 )
 from repro.mp.shm import ShmChannel
 from repro.pbio.context import HEADER_SIZE, IOContext
+from repro.pbio.oracle import make_interpreted_converter
 from repro.transport import make_pipe
 
 from tests.golden import vectors
@@ -196,8 +197,8 @@ class TestGoldenDecode:
         _, _, _, record, golden_data, golden_meta = vector
         receiver = IOContext()
         _, _, _, length, _ = receiver.parse_header(golden_meta)
-        receiver.learn_format(golden_meta[HEADER_SIZE:HEADER_SIZE + length])
-        decoded = receiver.decode(golden_data, mode="interpreted")
+        wire = receiver.learn_format(golden_meta[HEADER_SIZE:HEADER_SIZE + length])
+        decoded = make_interpreted_converter(wire)(golden_data[HEADER_SIZE:])
         assert_matches_record(decoded, record)
 
 
@@ -299,6 +300,12 @@ def batch_vector(request):
     return name, context, fmt, records, golden_batch, golden_meta
 
 
+@pytest.fixture
+def pure_python(monkeypatch):
+    """Force the columnar codec's no-numpy path."""
+    monkeypatch.setattr("repro.pbio.columnar._numpy_or_none", lambda: None)
+
+
 def _learned_receiver(golden_meta):
     receiver = IOContext()
     _, _, _, length, _ = receiver.parse_header(golden_meta)
@@ -342,19 +349,23 @@ class TestColumnarBatchVectors:
         for decoded, record in zip(batch, records):
             assert_matches_record(decoded, record)
 
-    def test_pure_python_encode_matches_golden(self, batch_vector, fresh_registry):
+    def test_pure_python_encode_matches_golden(
+        self, batch_vector, fresh_registry, pure_python
+    ):
         _, context, fmt, records, golden_batch, _ = batch_vector
-        assert context.encode_batch(fmt, records, use_numpy=False) == golden_batch
+        assert context.encode_batch(fmt, records) == golden_batch
 
     def test_numpy_encode_matches_golden(self, batch_vector, fresh_registry):
         pytest.importorskip("numpy")
         _, context, fmt, records, golden_batch, _ = batch_vector
-        assert context.encode_batch(fmt, records, use_numpy=True) == golden_batch
+        assert context.encode_batch(fmt, records) == golden_batch
 
-    def test_pure_python_decode_agrees(self, batch_vector, fresh_registry):
+    def test_pure_python_decode_agrees(
+        self, batch_vector, fresh_registry, pure_python
+    ):
         _, _, _, records, golden_batch, golden_meta = batch_vector
         receiver = _learned_receiver(golden_meta)
-        batch = receiver.decode_batch(golden_batch, use_numpy=False)
+        batch = receiver.decode_batch(golden_batch)
         for decoded, record in zip(batch, records):
             assert_matches_record(decoded, record)
 
